@@ -62,14 +62,14 @@ def fit_linear_rate(trace, tail_fraction=0.5, floor=1e-14):
     """Geometric rate from a least-squares line through (k, ln residual).
 
     Fits the trailing tail_fraction of records, dropping residuals at or
-    below the floating-point floor. Returns (rate, r_squared) with
-    rate = exp(slope).
+    below the floating-point floor and non-finite ones (a diverged run's
+    last record). Returns (rate, r_squared) with rate = exp(slope).
     """
     ks = trace.iterations()
     rs = trace.residuals()
     start = int(len(ks) * (1.0 - tail_fraction))
     ks, rs = ks[start:], rs[start:]
-    keep = rs > floor
+    keep = np.isfinite(rs) & (rs > floor)
     ks, rs = ks[keep], rs[keep]
     if len(ks) < 10:
         raise AnalysisError("need at least 10 usable tail records for a rate fit")

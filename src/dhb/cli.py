@@ -1,21 +1,14 @@
 """Command-line front-end for running experiments and generating graphs."""
 
 import argparse
+import json
 import sys
 
+from . import engines as eng
 from . import graph as gr
 from . import harness
-
-
-def _load(args, need_engines=False):
-    cfg = harness.parse_config(args.config)
-    if args.n is not None:
-        cfg["graph"]["n"] = args.n
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
-    if need_engines and not cfg.get("engines"):
-        raise harness.ConfigError("config lists no engines")
-    return cfg
+from .objectives import ObjectiveError
+from .weights import WeightError
 
 
 def main(argv=None):
@@ -50,9 +43,15 @@ def main(argv=None):
     p_graph.add_argument("--out", required=True, help="edge-list output path")
 
     args = parser.parse_args(argv)
+    # invalid input from any layer is one line on stderr and exit code 2
     try:
+        if args.verb != "graph-gen":
+            cfg = harness.parse_config(args.config)
+            if args.n is not None:
+                cfg["graph"]["n"] = args.n
+            if args.seed is not None:
+                cfg["run"]["seed"] = args.seed
         if args.verb == "run":
-            cfg = _load(args, need_engines=True)
             _, summary = harness.run_experiment(cfg, out_dir=args.out)
             for row in summary:
                 print(f"{row['engine']}: alpha={row['alpha']:g} "
@@ -63,32 +62,23 @@ def main(argv=None):
                 print("error: every engine diverged", file=sys.stderr)
                 return 2
         elif args.verb == "sweep":
-            cfg = _load(args, need_engines=True)
             qs = [float(q) for q in args.condition_numbers.split(",")]
             rows = harness.run_condition_sweep(cfg, qs, out_dir=args.out)
             for row in rows:
                 print(f"Q={row['condition_number']:g} {row['engine']}: "
                       f"iters={row['iterations_to_threshold']}")
         elif args.verb == "consensus":
-            cfg = _load(args)
             results = harness.run_consensus_experiment(cfg, out_dir=args.out)
             for form, r in results.items():
                 final = r["trace"].records[-1].residual
                 print(f"{form}: alpha={r['alpha']:g} beta={r['beta']:g} "
                       f"radius={r['radius']:.6f} final_residual={final:.3e}")
         elif args.verb == "tune":
-            cfg = _load(args, need_engines=True)
-            g, suite, mats, x0 = harness._prepare(cfg)
-            from . import engines as eng
-            for ecfg in cfg["engines"]:
-                if "tune" not in ecfg:
-                    print(f"{ecfg['kind']}: no tune grid, skipped")
-                    continue
-                alpha, beta, matrices = harness._resolve_engine(
-                    ecfg, suite, mats, x0,
-                    cfg["run"]["max_iter"], cfg["run"]["stop_residual"],
-                )
-                print(f"{ecfg['kind']}: alpha={alpha:g} beta={beta:g}")
+            for kind, alpha, beta in harness.tune_engines(cfg):
+                if alpha is None:
+                    print(f"{kind}: no tune grid, skipped")
+                else:
+                    print(f"{kind}: alpha={alpha:g} beta={beta:g}")
         elif args.verb == "graph-gen":
             g = gr.generate_nearest_neighbor(
                 args.n, args.ring_degree, args.extra_link_fraction,
@@ -96,7 +86,8 @@ def main(argv=None):
             )
             gr.save_edge_list(g, args.out)
             print(f"wrote {args.out}: n={g.n}, {len(g.edges())} edges")
-    except (harness.ConfigError, gr.GraphError) as exc:
+    except (harness.ConfigError, gr.GraphError, WeightError, ObjectiveError,
+            eng.EngineError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,31 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import Trace
+from .analysis import Trace, iterations_to_threshold
 from .objectives import average_residual
 from . import weights as wt
 
 DIVERGENCE_RESIDUAL = 1e12
 EIGEN_ESTIMATE_FLOOR = 1e3 * np.finfo(float).tiny
-
-# weight-matrix slots each engine kind reads from its config
-ENGINE_WEIGHTS = {
-    "abm": ("A", "B"),
-    "ab": ("A", "B"),
-    "ds_tracking": ("W",),
-    "extra": ("W",),
-    "ab_extra": ("A", "B"),
-    "addopt": ("B",),
-    "frost": ("A",),
-    "transformed_exact": ("A", "B"),
-    "gd": (),
-    "heavy_ball": (),
-}
-
-# engines whose auxiliary iterate must preserve the gradient sum
-TRACKING_ENGINES = ("abm", "ab", "ds_tracking")
-
-SCALAR_ALPHA_ENGINES = ("extra", "ab_extra", "transformed_exact", "gd", "heavy_ball")
 
 
 class EngineError(Exception):
@@ -66,17 +47,20 @@ class EngineConfig:
 
 
 def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None, W_tilde=None):
-    if kind not in ENGINE_WEIGHTS:
+    if kind not in ENGINES:
         raise EngineError(f"unknown engine kind {kind!r}")
+    spec = ENGINES[kind]
     alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
     betas = np.broadcast_to(np.asarray(beta, dtype=float), (n,)).copy()
     if np.any(alphas < 0) or np.any(betas < 0):
         raise EngineError("step-sizes and momenta must be nonnegative")
     if not np.any(alphas > 0):
         raise EngineError("at least one step-size must be positive")
-    if kind in SCALAR_ALPHA_ENGINES and np.ptp(alphas) != 0:
+    if spec.scalar_alpha and np.ptp(alphas) != 0:
         raise EngineError(f"{kind} requires an identical scalar step-size")
-    for slot in ENGINE_WEIGHTS[kind]:
+    if not spec.momentum:
+        betas = np.zeros(n)  # so ab is abm, and gd is heavy_ball, at beta 0
+    for slot in spec.weights:
         if slot == "A" and (A is None or A.kind != wt.ROW):
             raise EngineError(f"{kind} needs a row-stochastic matrix A")
         if slot == "B" and (B is None or B.kind != wt.COLUMN):
@@ -84,7 +68,7 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None, W_tilde=None):
         if slot == "W":
             if W is None or W.kind != wt.DOUBLY:
                 raise EngineError(f"{kind} needs a doubly-stochastic matrix W")
-            if kind == "extra" and not np.allclose(W.entries, W.entries.T, atol=0):
+            if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
                 raise EngineError("extra requires a symmetric W")
     if kind == "extra" and W_tilde is None:
         W_tilde = (np.eye(n) + W.entries) / 2.0
@@ -114,35 +98,26 @@ def _check_shapes(x0, n, p):
 
 
 def init_state(cfg, suite, x0):
-    """Bootstrap conventions: x_prev = 0, y_0 = local gradients at x_0."""
-    kind = cfg.kind
-    if kind in ("gd", "heavy_ball"):
+    """Bootstrap conventions: x_prev = 0, y_0 = local gradients at x_0.
+
+    A kind without weight slots holds one centralized iterate. extra and
+    ab_extra prime their second history on the first step call.
+    """
+    if not ENGINES[cfg.kind].weights:
         x0 = _check_shapes(x0, 1, suite.p)
         return AlgorithmState(x=x0, x_prev=np.zeros_like(x0))
     x0 = _check_shapes(x0, suite.n, suite.p)
     grads = suite.stacked_gradient(x0)
-    if kind in ("abm", "ab", "ds_tracking"):
-        return AlgorithmState(
-            x=x0, x_prev=np.zeros_like(x0), y=grads.copy(), grads=grads
-        )
-    if kind in ("extra", "ab_extra"):
-        # priming step happens on the first step call
-        return AlgorithmState(x=x0, grads=grads)
-    if kind == "addopt":
-        return AlgorithmState(
-            x=x0, y=grads.copy(), grads=grads, z=x0.copy(),
-            w=np.ones(suite.n),
-        )
-    if kind == "frost":
-        return AlgorithmState(
-            x=x0, y=grads.copy(), grads=grads, V=np.eye(suite.n)
-        )
-    if kind == "transformed_exact":
-        scale = suite.n * cfg.A.pi_r
-        return AlgorithmState(
-            x=x0, y=grads.copy(), grads=grads, z=scale[:, None] * x0
-        )
-    raise EngineError(f"unknown engine kind {kind!r}")
+    state = AlgorithmState(
+        x=x0, x_prev=np.zeros_like(x0), y=grads.copy(), grads=grads
+    )
+    if cfg.kind == "addopt":
+        return replace(state, z=x0.copy(), w=np.ones(suite.n))
+    if cfg.kind == "frost":
+        return replace(state, V=np.eye(suite.n))
+    if cfg.kind == "transformed_exact":
+        return replace(state, z=(suite.n * cfg.A.pi_r)[:, None] * x0)
+    return state
 
 
 def abm_step(state, cfg, suite):
@@ -161,11 +136,8 @@ def abm_step(state, cfg, suite):
     )
 
 
-def ab_step(state, cfg, suite):
-    """Gradient tracking without momentum; same update with beta = 0."""
-    if np.any(cfg.betas != 0):
-        cfg = replace(cfg, betas=np.zeros_like(cfg.betas))
-    return abm_step(state, cfg, suite)
+# ab is abm with beta = 0, which make_config fixes for it
+ab_step = abm_step
 
 
 def ds_tracking_step(state, cfg, suite):
@@ -298,30 +270,44 @@ def polyak_parameters(mu, lip):
     return alpha, beta
 
 
-def _gd_step(state, cfg, suite):
-    x_new = centralized_gd_step(state.x[0], cfg.alphas[0], suite)
-    return replace(state, x=x_new[None, :], x_prev=state.x, k=state.k + 1)
-
-
-def _hb_step(state, cfg, suite):
+def centralized_step(state, cfg, suite):
+    """Heavy-ball on the global cost; gd is its beta = 0 setting."""
     x_new, _ = centralized_hb_step(
         state.x[0], state.x_prev[0], cfg.alphas[0], cfg.betas[0], suite
     )
     return replace(state, x=x_new[None, :], x_prev=state.x, k=state.k + 1)
 
 
-STEP_FUNCTIONS = {
-    "abm": abm_step,
-    "ab": ab_step,
-    "ds_tracking": ds_tracking_step,
-    "extra": extra_step,
-    "ab_extra": ab_extra_form_step,
-    "addopt": addopt_step,
-    "frost": frost_step,
-    "transformed_exact": transformed_ab_exact_step,
-    "gd": _gd_step,
-    "heavy_ball": _hb_step,
+@dataclass(frozen=True)
+class EngineSpec:
+    """The facts about one engine kind that the runner and harness read."""
+
+    step: object                # (state, cfg, suite) -> next state
+    weights: tuple = ()         # weight slots read; none means centralized
+    tracking: bool = False      # y must preserve the gradient sum
+    scalar_alpha: bool = False  # needs one step-size shared by all agents
+    momentum: bool = False      # reads beta; make_config zeroes it otherwise
+
+
+ENGINES = {
+    "abm": EngineSpec(abm_step, ("A", "B"), tracking=True, momentum=True),
+    "ab": EngineSpec(abm_step, ("A", "B"), tracking=True),
+    "ds_tracking": EngineSpec(ds_tracking_step, ("W",), tracking=True),
+    "extra": EngineSpec(extra_step, ("W",), scalar_alpha=True),
+    "ab_extra": EngineSpec(ab_extra_form_step, ("A", "B"), scalar_alpha=True),
+    "addopt": EngineSpec(addopt_step, ("B",)),
+    "frost": EngineSpec(frost_step, ("A",)),
+    "transformed_exact": EngineSpec(
+        transformed_ab_exact_step, ("A", "B"), scalar_alpha=True
+    ),
+    "gd": EngineSpec(centralized_step, scalar_alpha=True),
+    "heavy_ball": EngineSpec(centralized_step, scalar_alpha=True,
+                             momentum=True),
 }
+
+# Views of ENGINES by field; run() looks its step up here at call time.
+ENGINE_WEIGHTS = {kind: spec.weights for kind, spec in ENGINES.items()}
+STEP_FUNCTIONS = {kind: spec.step for kind, spec in ENGINES.items()}
 
 
 def tracking_error(state, suite):
@@ -359,7 +345,7 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0):
         "config": cfg.digest(),
         "termination": "max_iter",
     })
-    track = cfg.kind in TRACKING_ENGINES
+    track = ENGINES[cfg.kind].tracking
     t0 = time.perf_counter()
 
     def record(st):
@@ -397,8 +383,6 @@ def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,
     (alpha*, beta*, iterations*) with iterations* None when no grid point
     reaches the threshold.
     """
-    from .analysis import iterations_to_threshold
-
     best = (None, None, None)
     best_iters = float("inf")
     for alpha in alpha_grid:

@@ -10,7 +10,7 @@ from . import consensus as cns
 from . import engines as eng
 from . import graph as gr
 from . import weights as wt
-from .analysis import fit_linear_rate, iterations_to_threshold
+from .analysis import AnalysisError, fit_linear_rate, iterations_to_threshold
 from .objectives import quadratic_suite, logistic_suite, synthesize_logistic_data
 
 
@@ -26,8 +26,6 @@ _TUNE_KEYS = {"alpha_grid", "beta_grid"}
 _RUN_KEYS = {"max_iter", "stop_residual", "seed", "out_dir"}
 _CONSENSUS_KEYS = {"alpha_grid", "beta_grid", "max_iter", "tol", "seed"}
 _TOP_KEYS = {"graph", "objective", "engines", "run", "consensus"}
-
-DS_ENGINES = ("ds_tracking", "extra")
 
 
 def _check_keys(section, data, allowed, required=()):
@@ -68,7 +66,7 @@ def validate_config(data):
         if "tune" in e:
             _check_keys(f"engines[{i}].tune", e["tune"], _TUNE_KEYS,
                         required=("alpha_grid",))
-        if e["kind"] in DS_ENGINES and data["graph"]["directed"]:
+        if "W" in eng.ENGINE_WEIGHTS[e["kind"]] and data["graph"]["directed"]:
             raise ConfigError(
                 f"engine {e['kind']!r} needs doubly-stochastic weights and "
                 "therefore an undirected graph; set graph.directed to false"
@@ -125,81 +123,98 @@ def build_weights(g, kinds_needed):
     return out
 
 
-def _engine_matrices(kind, mats):
-    return {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
+def _engine_setup(cfg):
+    """The graph and the weight matrices that the configured engines read."""
+    if not cfg.get("engines"):
+        raise ConfigError("config lists no engines")
+    g = build_graph(cfg["graph"])
+    slots = {s for e in cfg["engines"] for s in eng.ENGINE_WEIGHTS[e["kind"]]}
+    return g, build_weights(g, slots)
 
 
 def _prepare(cfg):
-    g = build_graph(cfg["graph"])
+    """Suite, weight matrices and initial iterate of an engine experiment."""
+    if "objective" not in cfg:
+        raise ConfigError("config has no objective section")
+    g, mats = _engine_setup(cfg)
     suite = build_objective(cfg["objective"], g.n)
-    needed = set()
-    for e in cfg["engines"]:
-        needed.update(eng.ENGINE_WEIGHTS[e["kind"]])
-    mats = build_weights(g, needed)
     rng = np.random.default_rng(cfg["run"]["seed"])
-    x0 = rng.standard_normal((g.n, suite.p))
-    return g, suite, mats, x0
+    return suite, mats, rng.standard_normal((g.n, suite.p))
 
 
-def _resolve_engine(ecfg, suite, mats, x0, max_iter, threshold):
-    """Fixed parameters or grid-searched ones, per the engine config."""
+def _resolve_engine(ecfg, run_cfg, suite, mats, x0):
+    """(alpha, beta, engine config, x0) of one engine, with fixed or
+    grid-searched parameters per the engine config. A kind without weight
+    slots is centralized and starts from the first agent's x0."""
     kind = ecfg["kind"]
-    matrices = _engine_matrices(kind, mats)
+    matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
+    if not matrices:
+        x0 = x0[:1]
+    alpha = ecfg.get("alpha")
+    beta = ecfg.get("beta", 0.0)
     if "tune" in ecfg:
-        alpha_grid = ecfg["tune"]["alpha_grid"]
-        beta_grid = ecfg["tune"].get("beta_grid", [0.0])
-        ex0 = x0[:1] if kind in ("gd", "heavy_ball") else x0
         alpha, beta, _ = eng.tune_parameters(
-            kind, suite, ex0, alpha_grid, beta_grid, max_iter, threshold,
-            **matrices,
+            kind, suite, x0, ecfg["tune"]["alpha_grid"],
+            ecfg["tune"].get("beta_grid", [0.0]),
+            run_cfg["max_iter"], run_cfg["stop_residual"], **matrices,
         )
         if alpha is None:
             raise ConfigError(
                 f"tuning found no convergent parameters for {kind!r}"
             )
-        return alpha, beta, matrices
-    alpha = ecfg.get("alpha")
-    beta = ecfg.get("beta", 0.0)
-    if alpha is None:
+    elif alpha is None:
         if kind == "gd":
             alpha = 2.0 / (suite.mu + suite.lip)
         elif kind == "heavy_ball":
             alpha, beta = eng.polyak_parameters(suite.mu, suite.lip)
         else:
             raise ConfigError(f"engine {kind!r} needs alpha or a tune grid")
-    return alpha, beta, matrices
+    engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
+    return alpha, beta, engine_cfg, x0
+
+
+def _run_engines(cfg, suite, mats, x0):
+    """Resolve, build and run each configured engine in turn; yields
+    (kind, alpha, beta, trace)."""
+    run_cfg = cfg["run"]
+    for ecfg in cfg["engines"]:
+        alpha, beta, engine_cfg, ex0 = _resolve_engine(
+            ecfg, run_cfg, suite, mats, x0
+        )
+        yield ecfg["kind"], alpha, beta, eng.run(
+            engine_cfg, suite, ex0, run_cfg["max_iter"], run_cfg["stop_residual"]
+        )
+
+
+def tune_engines(cfg):
+    """Grid-search each engine that has a tune grid, without the final
+    runs: one (kind, alpha, beta) per engine, alpha and beta None for an
+    engine without a grid."""
+    suite, mats, x0 = _prepare(cfg)
+    return [
+        (e["kind"], *_resolve_engine(e, cfg["run"], suite, mats, x0)[:2])
+        if "tune" in e else (e["kind"], None, None)
+        for e in cfg["engines"]
+    ]
 
 
 def run_experiment(cfg, out_dir=None):
     """One figure's worth of runs: a trace CSV per engine, a summary CSV,
     and a plot script rendering all engines on one log-residual axes."""
-    if not cfg.get("engines"):
-        raise ConfigError("config lists no engines")
-    if "objective" not in cfg:
-        raise ConfigError("config has no objective section")
+    suite, mats, x0 = _prepare(cfg)
     out_dir = out_dir or cfg["run"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    g, suite, mats, x0 = _prepare(cfg)
-    max_iter = cfg["run"]["max_iter"]
-    threshold = cfg["run"]["stop_residual"]
 
     traces = {}
     summary = []
-    for ecfg in cfg["engines"]:
-        kind = ecfg["kind"]
-        alpha, beta, matrices = _resolve_engine(
-            ecfg, suite, mats, x0, max_iter, threshold
-        )
-        engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
-        ex0 = x0[:1] if kind in ("gd", "heavy_ball") else x0
-        trace = eng.run(engine_cfg, suite, ex0, max_iter, threshold)
+    for kind, alpha, beta, trace in _run_engines(cfg, suite, mats, x0):
         trace.meta["seed"] = cfg["run"]["seed"]
         trace.to_csv(os.path.join(out_dir, f"trace_{kind}.csv"))
         traces[kind] = trace
-        iters = iterations_to_threshold(trace, threshold)
+        iters = iterations_to_threshold(trace, cfg["run"]["stop_residual"])
         try:
             rate, _ = fit_linear_rate(trace)
-        except Exception:
+        except AnalysisError:
             rate = float("nan")
         summary.append({
             "engine": kind,
@@ -220,36 +235,18 @@ def run_experiment(cfg, out_dir=None):
 def run_condition_sweep(cfg, condition_numbers, out_dir=None):
     """Tune every engine for each condition number; one summary row per
     (condition number, engine)."""
-    if not cfg.get("engines"):
-        raise ConfigError("config lists no engines")
+    g, mats = _engine_setup(cfg)
     out_dir = out_dir or cfg["run"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    g = build_graph(cfg["graph"])
-    needed = set()
-    for e in cfg["engines"]:
-        needed.update(eng.ENGINE_WEIGHTS[e["kind"]])
-    mats = build_weights(g, needed)
-    max_iter = cfg["run"]["max_iter"]
-    threshold = cfg["run"]["stop_residual"]
     ocfg = cfg.get("objective", {})
     p = ocfg.get("p", 3)
-    oseed = ocfg.get("seed", 0)
+    x0 = np.random.default_rng(cfg["run"]["seed"]).standard_normal((g.n, p))
 
     rows = []
     for q in condition_numbers:
-        suite = build_quadratic(g.n, p, q, oseed)
-        rng = np.random.default_rng(cfg["run"]["seed"])
-        x0 = rng.standard_normal((g.n, suite.p))
-        for ecfg in cfg["engines"]:
-            kind = ecfg["kind"]
-            alpha, beta, matrices = _resolve_engine(
-                ecfg, suite, mats, x0, max_iter, threshold
-            )
-            engine_cfg = eng.make_config(kind, suite.n, alpha, beta,
-                                         **matrices)
-            ex0 = x0[:1] if kind in ("gd", "heavy_ball") else x0
-            trace = eng.run(engine_cfg, suite, ex0, max_iter, threshold)
-            iters = iterations_to_threshold(trace, threshold)
+        suite = build_quadratic(g.n, p, q, ocfg.get("seed", 0))
+        for kind, alpha, beta, trace in _run_engines(cfg, suite, mats, x0):
+            iters = iterations_to_threshold(trace, cfg["run"]["stop_residual"])
             rows.append({
                 "condition_number": q,
                 "engine": kind,

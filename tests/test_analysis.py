@@ -43,6 +43,16 @@ def test_fit_ignores_floor_records():
     assert r2 > 0.999
 
 
+def test_fit_drops_diverged_record():
+    # a diverged run ends on an infinite residual; the fit skips it
+    trace = geometric_trace(1.0, 0.5, 28)
+    trace.append(29, float("inf"))
+    assert len(trace.records) == 30
+    rate, r2 = an.fit_linear_rate(trace)
+    assert abs(rate - 0.5) < 1e-9
+    assert np.isclose(r2, 1.0)
+
+
 def test_fit_needs_enough_points():
     trace = geometric_trace(1.0, 0.9, 5)
     with pytest.raises(an.AnalysisError):

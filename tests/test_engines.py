@@ -3,6 +3,7 @@ import pytest
 
 from dhb import engines as eng
 from dhb import graph as gr
+from dhb import harness as hs
 from dhb import objectives as obj
 from dhb import weights as wt
 from dhb.analysis import fit_linear_rate, iterations_to_threshold as itt
@@ -192,6 +193,20 @@ def test_extra_rejects_asymmetric_weights():
     A = wt.uniform_row_stochastic(g)
     with pytest.raises(eng.EngineError):
         eng.make_config("extra", 5, 0.1, W=A)
+
+
+def test_extra_rejects_slightly_asymmetric_doubly_stochastic_weights():
+    # a 6-node undirected ring plus a 1e-6 circulation stays doubly
+    # stochastic but is asymmetric by 2e-6
+    ring = gr.Digraph(6, [(i, (i + 1) % 6) for i in range(6)]
+                      + [((i + 1) % 6, i) for i in range(6)])
+    W = wt.laplacian_doubly_stochastic(ring)
+    right = np.roll(np.eye(6), 1, axis=1)
+    skewed = wt.WeightMatrix(W.entries + 1e-6 * (right - right.T), wt.DOUBLY)
+    assert np.isclose(np.max(np.abs(skewed.entries - skewed.entries.T)), 2e-6)
+    eng.make_config("extra", 6, 0.1, W=W)
+    with pytest.raises(eng.EngineError):
+        eng.make_config("extra", 6, 0.1, W=skewed)
 
 
 def test_addopt_doubly_stochastic_degeneracy():
@@ -402,3 +417,35 @@ def test_polyak_parameters():
     alpha, beta = eng.polyak_parameters(1.0, 9.0)
     assert np.isclose(alpha, 4.0 / 16.0)
     assert np.isclose(beta, 0.25)
+
+
+@pytest.mark.parametrize("kind", sorted(eng.ENGINES))
+def test_engine_registry_entry(kind):
+    spec = eng.ENGINES[kind]
+    g = gr.generate_nearest_neighbor(6, 2, 0.1, seed=29, directed=False)
+    mats = hs.build_weights(g, spec.weights)
+    assert set(mats) == set(spec.weights) == set(eng.ENGINE_WEIGHTS[kind])
+    assert eng.STEP_FUNCTIONS[kind] is spec.step
+    rng = np.random.default_rng(29)
+    suite = obj.quadratic_suite(
+        rng.uniform(0.5, 2.0, (6, 2)), rng.standard_normal((6, 2))
+    )
+    x0 = rng.standard_normal((6, 2))
+    cfg = eng.make_config(kind, 6, 0.02, beta=0.3, **mats)
+    assert np.all(cfg.betas == (0.3 if spec.momentum else 0.0))
+    trace = eng.run(cfg, suite, x0 if spec.weights else x0[:1], 5)
+    assert [r.k for r in trace.records] == list(range(6))
+    for r in trace.records:
+        assert (r.tracking_error is not None) == spec.tracking
+    config = {
+        "graph": {"n": 6, "ring_degree": 2, "extra_link_fraction": 0.1,
+                  "directed": True, "seed": 29},
+        "engines": [{"kind": kind, "alpha": 0.02}],
+        "run": {"max_iter": 5, "stop_residual": 0.0, "seed": 0,
+                "out_dir": "unused"},
+    }
+    if "W" in spec.weights:
+        with pytest.raises(hs.ConfigError):
+            hs.validate_config(config)
+    else:
+        hs.validate_config(config)

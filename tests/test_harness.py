@@ -263,3 +263,24 @@ def test_cli_tune_prints_parameters(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["tune", "--config", str(path)]) == 0
     assert "alpha=" in capsys.readouterr().out
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert cli.main(["run", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"graph": ')
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_negative_step_size_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path, engines=[{"kind": "ab", "alpha": -0.1}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
