@@ -1,9 +1,13 @@
 """Convergence-rate measurement and trace bookkeeping."""
 
 import csv
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+DIVERGENCE_RESIDUAL = 1e12
 
 
 class AnalysisError(Exception):
@@ -56,6 +60,51 @@ class Trace:
                 te = None if row[2] == "" else float(row[2])
                 trace.append(int(row[0]), float(row[1]), te, float(row[3]))
         return trace
+
+
+def iterate(state, step, measure, max_iter, stop_residual, meta):
+    """Run state = step(state) up to max_iter times, recording measure(state).
+
+    measure returns (residual, tracking error or None); a non-finite
+    residual is recorded as inf without tracking error. Stops below
+    stop_residual, or after a step whose residual is above 1e12 or not
+    finite (termination "diverged", flagged rather than raised so that
+    parameter searches can continue past unstable points).
+    """
+    trace = Trace(meta=dict(meta, termination="max_iter"))
+    t0 = time.perf_counter()
+    for k in range(max_iter + 1):
+        if k > 0:
+            state = step(state)
+        res, te = measure(state)
+        if not np.isfinite(res):
+            res, te = float("inf"), None
+        trace.append(k, res, te, time.perf_counter() - t0)
+        if k > 0 and res > DIVERGENCE_RESIDUAL:
+            trace.meta["termination"] = "diverged"
+            break
+        if res < stop_residual:
+            trace.meta["termination"] = "threshold"
+            break
+    return trace
+
+
+def grid_argmin(alpha_grid, beta_grid, score):
+    """Exhaustive search of score(alpha, beta) over the product grid.
+
+    Returns (alpha*, beta*, score*, rows), rows listing (alpha, beta,
+    score) for every point in grid order; ties go to the first point, and
+    alpha* and beta* are None when no score is below inf.
+    """
+    best = (None, None, float("inf"))
+    rows = []
+    for alpha in alpha_grid:
+        for beta in beta_grid:
+            value = score(alpha, beta)
+            rows.append((float(alpha), float(beta), value))
+            if value < best[2]:
+                best = (float(alpha), float(beta), value)
+    return best[0], best[1], best[2], rows
 
 
 def fit_linear_rate(trace, tail_fraction=0.5, floor=1e-14):

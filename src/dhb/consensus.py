@@ -1,22 +1,19 @@
 """Average-consensus systems over directed graphs and their spectral tuning.
 
-The momentum form iterates a 3-block linear system on [x_{k+1}; y_{k+1}; x_k];
-with zero momentum it reduces (up to a diagonal sign change on y) to surplus
-consensus, a 2-block system. Convergence and its speed are governed by the
-spectral radius of H - H_inf, where H_inf is the power limit of the system
-matrix.
+The momentum form iterates a 3-block linear system on [x_{k+1}; y_{k+1}; x_k].
+Surplus consensus is its zero-momentum setting without the x_k block, a
+2-block system on [x_{k+1}; y_{k+1}] (the paper's form differs by a diagonal
+sign change on y). Convergence and its speed are governed by the spectral
+radius of H - H_inf, where H_inf is the power limit of the system matrix.
 """
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Trace
+from .analysis import grid_argmin, iterate
 from . import weights as wt
-
-DIVERGENCE_RESIDUAL = 1e12
 
 
 class ConsensusError(Exception):
@@ -38,8 +35,8 @@ def _kron(block, p):
     return np.kron(block, np.eye(p)) if p > 1 else block
 
 
-def abmc_build(A, B, alpha, beta, p=1):
-    """Momentum consensus system on the stacked state [x_{k+1}; y_{k+1}; x_k]."""
+def _momentum_system(A, B, alpha, beta, p):
+    """(H, H_inf) of the momentum system on [x_{k+1}; y_{k+1}; x_k]."""
     if A.kind != wt.ROW or B.kind != wt.COLUMN:
         raise ConsensusError("need a row-stochastic A and column-stochastic B")
     if alpha < 0 or beta < 0:
@@ -61,76 +58,47 @@ def abmc_build(A, B, alpha, beta, p=1):
         [zero, zero, zero],
         [w_inf, -w_inf, zero],
     ])
-    return ConsensusSystem(h, h_inf, float(alpha), float(beta), n, p, "abmc")
+    return h, h_inf
+
+
+def abmc_build(A, B, alpha, beta, p=1):
+    """Momentum consensus system on the stacked state [x_{k+1}; y_{k+1}; x_k]."""
+    h, h_inf = _momentum_system(A, B, alpha, beta, p)
+    return ConsensusSystem(h, h_inf, float(alpha), float(beta), A.n, p, "abmc")
 
 
 def surplus_build(A, B, alpha, p=1):
-    """Surplus consensus system on the stacked state [x_{k+1}; y_{k+1}]."""
-    if A.kind != wt.ROW or B.kind != wt.COLUMN:
-        raise ConsensusError("need a row-stochastic A and column-stochastic B")
-    if alpha < 0:
-        raise ConsensusError("alpha must be nonnegative")
-    n = A.n
-    a = _kron(A.entries, p)
-    b = _kron(B.entries, p)
-    m = n * p
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    h = np.block([
-        [a, -alpha * eye],
-        [a - eye, b - alpha * eye],
-    ])
-    w_inf = _kron(np.full((n, n), 1.0 / n), p)
-    h_inf = np.block([
-        [w_inf, -w_inf],
-        [zero, zero],
-    ])
-    return ConsensusSystem(h, h_inf, float(alpha), 0.0, n, p, "surplus")
+    """Surplus consensus system on the stacked state [x_{k+1}; y_{k+1}]: the
+    leading two blocks of the momentum system at beta = 0."""
+    h, h_inf = _momentum_system(A, B, alpha, 0.0, p)
+    m = 2 * A.n * p
+    return ConsensusSystem(h[:m, :m].copy(), h_inf[:m, :m].copy(),
+                           float(alpha), 0.0, A.n, p, "surplus")
 
 
 def initial_stack(sys_, values):
-    """Stacked initial state: x_0 = values, y_0 = 0, and (momentum form)
-    x_{-1} = x_0 so the first momentum difference is zero."""
+    """Stacked initial state [x_0; y_0; x_{-1}] = [values; 0; values], cut to
+    the system size; x_{-1} = x_0 makes the first momentum difference zero."""
     values = np.asarray(values, dtype=float).reshape(sys_.n * sys_.p)
-    zero = np.zeros_like(values)
-    if sys_.form == "abmc":
-        return np.concatenate([values, zero, values])
-    return np.concatenate([values, zero])
+    stack = np.concatenate([values, np.zeros_like(values), values])
+    return stack[: sys_.H.shape[0]]
 
 
 def consensus_run(sys_, values, max_iter, tol=0.0):
     """Iterate the linear system, recording (1/n) sum_i ||x_i - mean(values)||."""
     values = np.asarray(values, dtype=float).reshape(sys_.n, sys_.p)
     mean = values.mean(axis=0)
-    state = initial_stack(sys_, values)
-    trace = Trace(meta={
-        "engine": f"consensus_{sys_.form}",
-        "alpha": sys_.alpha,
-        "beta": sys_.beta,
-        "termination": "max_iter",
-    })
-    t0 = time.perf_counter()
+    m = sys_.n * sys_.p
 
-    def record(s, k):
-        x = s[: sys_.n * sys_.p].reshape(sys_.n, sys_.p)
-        res = float(np.mean(np.linalg.norm(x - mean, axis=1)))
-        trace.append(k, res, None, time.perf_counter() - t0)
-        return res
+    def measure(s):
+        x = s[:m].reshape(sys_.n, sys_.p)
+        return float(np.mean(np.linalg.norm(x - mean, axis=1))), None
 
-    res = record(state, 0)
-    if res < tol:
-        trace.meta["termination"] = "threshold"
-        return trace
-    for k in range(1, max_iter + 1):
-        state = sys_.H @ state
-        res = record(state, k)
-        if not np.isfinite(res) or res > DIVERGENCE_RESIDUAL:
-            trace.meta["termination"] = "diverged"
-            return trace
-        if res < tol:
-            trace.meta["termination"] = "threshold"
-            return trace
-    return trace
+    return iterate(
+        initial_stack(sys_, values), lambda s: sys_.H @ s, measure, max_iter,
+        tol, {"engine": f"consensus_{sys_.form}", "alpha": sys_.alpha,
+              "beta": sys_.beta},
+    )
 
 
 def effective_radius(sys_):
@@ -146,26 +114,17 @@ def effective_radius(sys_):
 def grid_search_params(A, B, alpha_grid, beta_grid, form, p=1):
     """Exhaustive (alpha, beta) search minimizing the effective radius.
 
-    beta is pinned to 0 for the surplus form. Ties break toward smaller
-    alpha, then smaller beta. Returns (alpha*, beta*, radius*, rows) where
-    rows lists (alpha, beta, radius) for every grid point.
+    beta is pinned to 0 for the surplus form. Ties go to the first grid
+    point. Returns (alpha*, beta*, radius*, rows) where rows lists
+    (alpha, beta, radius) for every grid point.
     """
-    if form not in ("abmc", "surplus"):
-        raise ConsensusError(f"unknown form {form!r}")
-    betas = [0.0] if form == "surplus" else list(beta_grid)
-    best = (None, None, float("inf"))
-    rows = []
-    for alpha in alpha_grid:
-        for beta in betas:
-            if form == "abmc":
-                sys_ = abmc_build(A, B, alpha, beta, p)
-            else:
-                sys_ = surplus_build(A, B, alpha, p)
-            radius = effective_radius(sys_)
-            rows.append((float(alpha), float(beta), radius))
-            if radius < best[2]:
-                best = (float(alpha), float(beta), radius)
-    return best[0], best[1], best[2], rows
+    if form == "abmc":
+        return grid_argmin(alpha_grid, beta_grid, lambda alpha, beta:
+                           effective_radius(abmc_build(A, B, alpha, beta, p)))
+    if form == "surplus":
+        return grid_argmin(alpha_grid, [0.0], lambda alpha, _:
+                           effective_radius(surplus_build(A, B, alpha, p)))
+    raise ConsensusError(f"unknown form {form!r}")
 
 
 def radius_grid_to_csv(rows, path):

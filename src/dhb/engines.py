@@ -6,16 +6,14 @@ exchange plus local updates at all agents.
 """
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import Trace, iterations_to_threshold
+from .analysis import grid_argmin, iterate, iterations_to_threshold
 from .objectives import average_residual
 from . import weights as wt
 
-DIVERGENCE_RESIDUAL = 1e12
 EIGEN_ESTIMATE_FLOOR = 1e3 * np.finfo(float).tiny
 
 
@@ -333,69 +331,41 @@ def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
 def run(cfg, suite, x0, max_iter, stop_residual=0.0):
     """Iterate an engine, recording the average residual per iteration.
 
-    Stops at max_iter, below stop_residual, or on divergence (non-finite
-    state or residual above 1e12, flagged in trace.meta rather than
-    raised so that parameter searches can continue past unstable points).
+    Stops at max_iter, below stop_residual, or on divergence (see
+    analysis.iterate).
     """
     x_star = suite.minimizer()
-    state = init_state(cfg, suite, x0)
     step = STEP_FUNCTIONS[cfg.kind]
-    trace = Trace(meta={
-        "engine": cfg.kind,
-        "config": cfg.digest(),
-        "termination": "max_iter",
-    })
     track = ENGINES[cfg.kind].tracking
-    t0 = time.perf_counter()
 
-    def record(st):
+    def measure(st):
         res = average_residual(st.x, x_star)
-        te = tracking_error(st, suite) if track else None
-        trace.append(st.k, res, te, time.perf_counter() - t0)
-        return res
+        if track and np.isfinite(res):
+            return res, tracking_error(st, suite)
+        return res, None
 
-    res = record(state)
-    if res < stop_residual:
-        trace.meta["termination"] = "threshold"
-        return trace
-    for _ in range(max_iter):
-        state = step(state, cfg, suite)
-        if not np.all(np.isfinite(state.x)):
-            trace.append(state.k, float("inf"), None,
-                         time.perf_counter() - t0)
-            trace.meta["termination"] = "diverged"
-            return trace
-        res = record(state)
-        if res > DIVERGENCE_RESIDUAL:
-            trace.meta["termination"] = "diverged"
-            return trace
-        if res < stop_residual:
-            trace.meta["termination"] = "threshold"
-            return trace
-    return trace
+    return iterate(
+        init_state(cfg, suite, x0), lambda st: step(st, cfg, suite), measure,
+        max_iter, stop_residual, {"engine": cfg.kind, "config": cfg.digest()},
+    )
 
 
 def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,
                     threshold, **matrices):
     """Grid search minimizing iterations to the residual threshold.
 
-    Ties break toward smaller alpha, then smaller beta. Returns
-    (alpha*, beta*, iterations*) with iterations* None when no grid point
-    reaches the threshold.
+    Ties go to the first grid point. Returns (alpha*, beta*, iterations*),
+    all None when no grid point reaches the threshold; a point that raises
+    EngineError or diverges never reaches it.
     """
-    best = (None, None, None)
-    best_iters = float("inf")
-    for alpha in alpha_grid:
-        for beta in beta_grid:
-            try:
-                cfg = make_config(kind, suite.n, alpha, beta, **matrices)
-                trace = run(cfg, suite, x0, max_iter, threshold)
-            except EngineError:
-                continue
-            if trace.diverged:
-                continue
-            iters = iterations_to_threshold(trace, threshold)
-            if iters is not None and iters < best_iters:
-                best_iters = iters
-                best = (float(alpha), float(beta), iters)
-    return best
+    def iterations(alpha, beta):
+        try:
+            cfg = make_config(kind, suite.n, alpha, beta, **matrices)
+            trace = run(cfg, suite, x0, max_iter, threshold)
+        except EngineError:
+            return float("inf")
+        iters = iterations_to_threshold(trace, threshold)
+        return float("inf") if iters is None else iters
+
+    alpha, beta, iters, _ = grid_argmin(alpha_grid, beta_grid, iterations)
+    return alpha, beta, None if alpha is None else iters

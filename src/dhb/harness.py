@@ -127,6 +127,9 @@ def _engine_setup(cfg):
     """The graph and the weight matrices that the configured engines read."""
     if not cfg.get("engines"):
         raise ConfigError("config lists no engines")
+    kinds = [e["kind"] for e in cfg["engines"]]
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError("config lists an engine kind more than once")
     g = build_graph(cfg["graph"])
     slots = {s for e in cfg["engines"] for s in eng.ENGINE_WEIGHTS[e["kind"]]}
     return g, build_weights(g, slots)
@@ -170,7 +173,8 @@ def _resolve_engine(ecfg, run_cfg, suite, mats, x0):
         else:
             raise ConfigError(f"engine {kind!r} needs alpha or a tune grid")
     engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
-    return alpha, beta, engine_cfg, x0
+    # report the beta the engine runs with; make_config zeroes it for ab, gd
+    return alpha, float(np.max(engine_cfg.betas)), engine_cfg, x0
 
 
 def _run_engines(cfg, suite, mats, x0):
@@ -219,7 +223,7 @@ def run_experiment(cfg, out_dir=None):
         summary.append({
             "engine": kind,
             "alpha": float(np.max(np.atleast_1d(alpha))),
-            "beta": float(beta),
+            "beta": beta,
             "iterations_to_threshold": "" if iters is None else iters,
             "fitted_rate": rate,
             "termination": trace.meta["termination"],

@@ -68,12 +68,12 @@ class LogisticLocal:
 
     def gradient(self, z):
         margins = self.labels * (self.aug @ z)
-        sig = 1.0 / (1.0 + np.exp(margins))  # sigma(-m)
+        sig = np.exp(-np.logaddexp(0.0, margins))  # sigma(-m), no overflow
         return -(self.aug.T @ (self.labels * sig)) + self._reg_vec(z)
 
     def hessian(self, z):
         margins = self.labels * (self.aug @ z)
-        s = 1.0 / (1.0 + np.exp(margins))
+        s = np.exp(-np.logaddexp(0.0, margins))
         w = s * (1.0 - s)
         h = self.aug.T @ (self.aug * w[:, None])
         d = np.full(self.aug.shape[1], self.reg)
@@ -187,13 +187,16 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
     x = np.zeros(suite.p)
     for _ in range(max_iter):
         g = suite.global_gradient(x)
-        if np.linalg.norm(g) < tol:
+        gnorm = np.linalg.norm(g)
+        if gnorm < tol:
             return x
         h = sum(f.hessian(x) for f in suite.locals) / suite.n
         step = np.linalg.solve(h, g)
+        # backtrack on ||grad F||: near x* a decrease test on F itself
+        # falls below F's roundoff and stalls
         t = 1.0
-        fx = suite.global_value(x)
-        while suite.global_value(x - t * step) > fx - 1e-4 * t * (g @ step):
+        while (np.linalg.norm(suite.global_gradient(x - t * step))
+               > (1.0 - 1e-4 * t) * gnorm):
             t *= 0.5
             if t < 1e-12:
                 break

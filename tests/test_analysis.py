@@ -131,3 +131,31 @@ def test_diverged_flag():
     trace = an.Trace(meta={"termination": "diverged"})
     assert trace.diverged
     assert not an.Trace(meta={"termination": "max_iter"}).diverged
+
+
+def test_grid_argmin_breaks_ties_toward_first_point():
+    scores = {(0.3, 0.0): 2.0, (0.3, 0.1): 1.0, (0.1, 0.0): 1.0, (0.1, 0.1): 3.0}
+    alpha, beta, best, rows = an.grid_argmin(
+        [0.3, 0.1], [0.0, 0.1], lambda a, b: scores[(a, b)]
+    )
+    assert (alpha, beta, best) == (0.3, 0.1, 1.0)
+    assert rows == [(a, b, s) for (a, b), s in scores.items()]
+
+
+def test_grid_argmin_without_finite_score():
+    alpha, beta, best, rows = an.grid_argmin(
+        [0.1, 0.2], [0.0], lambda a, b: float("inf")
+    )
+    assert alpha is None and beta is None and best == float("inf")
+    assert len(rows) == 2
+
+
+def test_iterate_records_non_finite_residual_as_inf():
+    trace = an.iterate(
+        1.0, lambda s: 10.0 * s, lambda s: (float("nan") if s > 50 else s, 0.0),
+        10, 0.0, {"engine": "demo"},
+    )
+    assert trace.meta == {"engine": "demo", "termination": "diverged"}
+    assert [r.residual for r in trace.records] == [1.0, 10.0, float("inf")]
+    assert trace.records[-1].tracking_error is None
+    assert trace.records[1].tracking_error == 0.0

@@ -216,3 +216,27 @@ def test_radius_grid_csv_round_trip(tmp_path):
     assert lines[0] == "alpha,beta,radius"
     parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
     assert parsed == rows
+
+
+def test_surplus_is_leading_block_of_zero_momentum_system():
+    A, B = make_matrices(5, seed=14)
+    for p in (1, 2):
+        surplus = cs.surplus_build(A, B, 0.3, p)
+        momentum = cs.abmc_build(A, B, 0.3, 0.0, p)
+        m = 2 * 5 * p
+        assert np.array_equal(surplus.H, momentum.H[:m, :m])
+        assert np.array_equal(surplus.H_inf, momentum.H_inf[:m, :m])
+        values = np.arange(5.0 * p)
+        assert np.array_equal(cs.initial_stack(surplus, values),
+                              cs.initial_stack(momentum, values)[:m])
+
+
+def test_consensus_run_diverges_above_unit_radius():
+    A, B = make_matrices(5, seed=15)
+    sys_ = cs.abmc_build(A, B, 3.0, 0.0)
+    assert cs.effective_radius(sys_) > 1.0
+    values = np.random.default_rng(15).standard_normal(5)
+    trace = cs.consensus_run(sys_, values, 100000, tol=1e-10)
+    assert trace.meta["termination"] == "diverged"
+    assert trace.records[-1].residual > 1e12
+    assert trace.records[-1].k < 100000

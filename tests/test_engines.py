@@ -449,3 +449,16 @@ def test_engine_registry_entry(kind):
             hs.validate_config(config)
     else:
         hs.validate_config(config)
+
+
+def test_run_overflowing_iterate_ends_on_one_inf_record():
+    _, A, B, suite, x0 = make_setup(5, 2, seed=29)
+    cfg = eng.make_config("abm", 5, 1e308, 0.1, A=A, B=B)
+    with np.errstate(over="ignore"):  # alpha * y overflows on the first step
+        trace = eng.run(cfg, suite, x0, 100)
+    assert trace.diverged
+    residuals = trace.residuals()
+    assert len(residuals) == 2 and np.isfinite(residuals[0])
+    assert residuals[-1] == np.inf
+    assert trace.records[0].tracking_error is not None
+    assert trace.records[-1].tracking_error is None

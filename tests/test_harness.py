@@ -284,3 +284,31 @@ def test_cli_negative_step_size_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_engine_kind_is_rejected(tmp_path, capsys):
+    cfg = base_config(tmp_path, engines=[
+        {"kind": "abm", "alpha": 0.03, "beta": 0.2},
+        {"kind": "abm", "alpha": 0.01, "beta": 0.2},
+    ])
+    hs.validate_config(cfg)
+    with pytest.raises(hs.ConfigError, match="more than once"):
+        hs.run_experiment(cfg)
+    assert not (tmp_path / "out" / "trace_abm.csv").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_summary_reports_beta_the_engine_runs_with(tmp_path, capsys):
+    cfg = base_config(tmp_path, engines=[
+        {"kind": "ab", "alpha": 0.03, "beta": 0.5},
+        {"kind": "abm", "alpha": 0.03, "beta": 0.2},
+    ])
+    _, summary = hs.run_experiment(cfg)
+    assert [row["beta"] for row in summary] == [0.0, 0.2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert "ab: alpha=0.03 beta=0 " in capsys.readouterr().out

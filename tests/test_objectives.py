@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,24 @@ def test_dataset_csv_round_trip(tmp_path):
 def test_average_residual():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.isclose(obj.average_residual(x, np.zeros(2)), 1.0)
+
+
+def test_logistic_gradient_and_hessian_at_large_margins():
+    # margins of +1000 and -1000: exp(1000) overflows a double
+    local = obj.LogisticLocal(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), 0.5)
+    z = np.array([999.0, 1.0])
+    grad = local.gradient(z)
+    assert np.all(np.isfinite(grad))
+    assert np.allclose(grad, [1.0 + 0.5 * 999.0, 1.0])
+    hess = local.hessian(z)
+    assert np.array_equal(hess, np.diag([0.5, 0.0]))
+
+
+def test_logistic_minimizer_reaches_tolerance_across_sizes():
+    # includes (50, 40, 5, seed 3), where a decrease test on F stalls at
+    # ||grad F|| ~ 5e-9 because the decrease falls below F's roundoff
+    for n, m_i, p, seed in itertools.product((20, 50), (10, 40), (2, 5), range(4)):
+        features, labels = obj.synthesize_logistic_data(n, m_i, p, seed)
+        suite = obj.logistic_suite(features, labels, reg=0.1)
+        x_star = suite.minimizer(1e-12)
+        assert np.linalg.norm(suite.global_gradient(x_star)) < 1e-12
