@@ -2,7 +2,9 @@
 
 import csv
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +24,41 @@ class TraceRecord:
     elapsed: float = 0.0
 
 
-@dataclass
 class Trace:
-    """Per-iteration convergence records plus run metadata."""
+    """Per-iteration convergence records plus run metadata.
 
-    records: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    The records live in four flat columns (k, residual, tracking error,
+    elapsed seconds); a missing tracking error is stored as NaN and reads
+    back as None. `records` is a read-only sequence view of them.
+    """
+
+    def __init__(self, meta=None):
+        self.meta = {} if meta is None else meta
+        self._columns = (array("q"), array("d"), array("d"), array("d"))
+
+    def with_meta(self, meta):
+        """A trace over the same records, shared rather than copied (an
+        append to either shows in both), with its own meta."""
+        trace = Trace(meta)
+        trace._columns = self._columns
+        return trace
+
+    @property
+    def records(self):
+        return _Records(self._columns)
 
     def append(self, k, residual, tracking_error=None, elapsed=0.0):
-        self.records.append(TraceRecord(k, residual, tracking_error, elapsed))
+        ks, rs, tes, els = self._columns
+        ks.append(k)
+        rs.append(residual)
+        tes.append(float("nan") if tracking_error is None else tracking_error)
+        els.append(elapsed)
 
     def residuals(self):
-        return np.array([r.residual for r in self.records])
+        return np.array(self._columns[1])
 
     def iterations(self):
-        return np.array([r.k for r in self.records])
+        return np.array(self._columns[0])
 
     @property
     def diverged(self):
@@ -46,9 +68,10 @@ class Trace:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["k", "residual", "tracking_error", "elapsed_s"])
-            for r in self.records:
-                te = "" if r.tracking_error is None else repr(float(r.tracking_error))
-                writer.writerow([r.k, repr(float(r.residual)), te, repr(float(r.elapsed))])
+            writer.writerows(
+                (k, repr(r), "" if te != te else repr(te), repr(el))
+                for k, r, te, el in zip(*self._columns)
+            )
 
     @classmethod
     def from_csv(cls, path, meta=None):
@@ -60,6 +83,27 @@ class Trace:
                 te = None if row[2] == "" else float(row[2])
                 trace.append(int(row[0]), float(row[1]), te, float(row[3]))
         return trace
+
+
+class _Records(Sequence):
+    """TraceRecord view of a trace's columns."""
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        return _record(*(col[i] for col in self._columns))
+
+    def __iter__(self):
+        return (_record(*row) for row in zip(*self._columns))
+
+
+def _record(k, residual, tracking_error, elapsed):
+    te = None if tracking_error != tracking_error else tracking_error
+    return TraceRecord(k, residual, te, elapsed)
 
 
 def iterate(state, step, measure, max_iter, stop_residual, meta):
@@ -114,8 +158,7 @@ def fit_linear_rate(trace, tail_fraction=0.5, floor=1e-14):
     below the floating-point floor and non-finite ones (a diverged run's
     last record). Returns (rate, r_squared) with rate = exp(slope).
     """
-    ks = trace.iterations()
-    rs = trace.residuals()
+    ks, rs = trace.iterations(), trace.residuals()
     start = int(len(ks) * (1.0 - tail_fraction))
     ks, rs = ks[start:], rs[start:]
     keep = np.isfinite(rs) & (rs > floor)
@@ -133,10 +176,8 @@ def fit_linear_rate(trace, tail_fraction=0.5, floor=1e-14):
 
 def iterations_to_threshold(trace, threshold):
     """First iteration with residual strictly below threshold, else None."""
-    for r in trace.records:
-        if r.residual < threshold:
-            return r.k
-    return None
+    below = np.flatnonzero(trace.residuals() < threshold)
+    return trace.records[below[0]].k if len(below) else None
 
 
 def gd_rate_oracle(q):

@@ -6,6 +6,7 @@ exchange plus local updates at all agents.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,9 +299,9 @@ ENGINES = {
     "transformed_exact": EngineSpec(
         transformed_ab_exact_step, ("A", "B"), scalar_alpha=True
     ),
-    "gd": EngineSpec(centralized_step, scalar_alpha=True),
     "heavy_ball": EngineSpec(centralized_step, scalar_alpha=True,
                              momentum=True),
+    "gd": EngineSpec(centralized_step, scalar_alpha=True),
 }
 
 # Views of ENGINES by field; run() looks its step up here at call time.
@@ -311,7 +312,8 @@ STEP_FUNCTIONS = {kind: spec.step for kind, spec in ENGINES.items()}
 def tracking_error(state, suite):
     """Norm of sum_i y_i - sum_i grad f_i(x_i); zero in exact arithmetic
     for the gradient-tracking engines."""
-    return float(np.linalg.norm(state.y.sum(axis=0) - state.grads.sum(axis=0)))
+    v = state.y.sum(axis=0) - state.grads.sum(axis=0)
+    return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
 
 
 def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
@@ -328,12 +330,53 @@ def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
     return ok, lam
 
 
-def run(cfg, suite, x0, max_iter, stop_residual=0.0):
+def _canonical_kind(kind):
+    """The first ENGINES kind that steps like `kind`: kinds differing only
+    in whether they read beta (ab and abm, gd and heavy_ball) share runs,
+    since make_config zeroes beta for the one without momentum."""
+    spec = ENGINES[kind]
+    return next(k for k, s in ENGINES.items()
+                if (s.step, s.weights, s.tracking)
+                == (spec.step, spec.weights, spec.tracking))
+
+
+def _run_key(cfg, x0, max_iter, stop_residual):
+    """Everything a run's trajectory depends on, besides its suite: a
+    digest of the arrays (hashed in place, not copied) plus the limits."""
+    h = hashlib.sha256(_canonical_kind(cfg.kind).encode())
+    x0 = np.ascontiguousarray(x0, dtype=float)
+    h.update(repr(x0.shape).encode())
+    arrays = [cfg.alphas, cfg.betas, x0]
+    arrays += [None if m is None else m.entries for m in (cfg.A, cfg.B, cfg.W)]
+    for a in arrays + [cfg.W_tilde]:
+        h.update(b"-" if a is None else np.ascontiguousarray(a).data)
+    return h.hexdigest(), int(max_iter), float(stop_residual)
+
+
+def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     """Iterate an engine, recording the average residual per iteration.
 
     Stops at max_iter, below stop_residual, or on divergence (see
-    analysis.iterate).
+    analysis.iterate). `cache` is a dict holding the runs of one suite:
+    a run whose canonical kind, alphas, betas, weights, x0, max_iter and
+    stop_residual are already in it is not computed again, and comes back
+    as a trace sharing the cached records with its own meta
+    (`cached=True`).
     """
+    if cache is None:
+        return _run(cfg, suite, x0, max_iter, stop_residual)
+    key = _run_key(cfg, x0, max_iter, stop_residual)
+    hit = cache.get(key)
+    if hit is None:
+        cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual)
+        return trace.with_meta(dict(trace.meta))
+    return hit.with_meta({"engine": cfg.kind, "config": cfg.digest(),
+                        "termination": hit.meta["termination"],
+                        "cached": True})
+
+
+def _run(cfg, suite, x0, max_iter, stop_residual):
+    """The run itself; run() adds the cache around it."""
     x_star = suite.minimizer()
     step = STEP_FUNCTIONS[cfg.kind]
     track = ENGINES[cfg.kind].tracking
@@ -351,17 +394,18 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0):
 
 
 def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,
-                    threshold, **matrices):
+                    threshold, cache=None, **matrices):
     """Grid search minimizing iterations to the residual threshold.
 
     Ties go to the first grid point. Returns (alpha*, beta*, iterations*),
     all None when no grid point reaches the threshold; a point that raises
-    EngineError or diverges never reaches it.
+    EngineError or diverges never reaches it. Every point runs through
+    `cache` (see run).
     """
     def iterations(alpha, beta):
         try:
             cfg = make_config(kind, suite.n, alpha, beta, **matrices)
-            trace = run(cfg, suite, x0, max_iter, threshold)
+            trace = run(cfg, suite, x0, max_iter, threshold, cache=cache)
         except EngineError:
             return float("inf")
         iters = iterations_to_threshold(trace, threshold)

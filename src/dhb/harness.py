@@ -145,10 +145,11 @@ def _prepare(cfg):
     return suite, mats, rng.standard_normal((g.n, suite.p))
 
 
-def _resolve_engine(ecfg, run_cfg, suite, mats, x0):
+def _resolve_engine(ecfg, run_cfg, suite, mats, x0, cache):
     """(alpha, beta, engine config, x0) of one engine, with fixed or
-    grid-searched parameters per the engine config. A kind without weight
-    slots is centralized and starts from the first agent's x0."""
+    grid-searched parameters per the engine config; tuning runs through
+    `cache`. A kind without weight slots is centralized and starts from
+    the first agent's x0."""
     kind = ecfg["kind"]
     matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
     if not matrices:
@@ -159,7 +160,8 @@ def _resolve_engine(ecfg, run_cfg, suite, mats, x0):
         alpha, beta, _ = eng.tune_parameters(
             kind, suite, x0, ecfg["tune"]["alpha_grid"],
             ecfg["tune"].get("beta_grid", [0.0]),
-            run_cfg["max_iter"], run_cfg["stop_residual"], **matrices,
+            run_cfg["max_iter"], run_cfg["stop_residual"], cache=cache,
+            **matrices,
         )
         if alpha is None:
             raise ConfigError(
@@ -179,14 +181,18 @@ def _resolve_engine(ecfg, run_cfg, suite, mats, x0):
 
 def _run_engines(cfg, suite, mats, x0):
     """Resolve, build and run each configured engine in turn; yields
-    (kind, alpha, beta, trace)."""
+    (kind, alpha, beta, trace). Tuning and final runs share one run cache,
+    so a trajectory is computed once per pass (ab's runs are abm's at
+    beta = 0, and a tuned winner was run while tuning)."""
     run_cfg = cfg["run"]
+    cache = {}
     for ecfg in cfg["engines"]:
         alpha, beta, engine_cfg, ex0 = _resolve_engine(
-            ecfg, run_cfg, suite, mats, x0
+            ecfg, run_cfg, suite, mats, x0, cache
         )
         yield ecfg["kind"], alpha, beta, eng.run(
-            engine_cfg, suite, ex0, run_cfg["max_iter"], run_cfg["stop_residual"]
+            engine_cfg, suite, ex0, run_cfg["max_iter"],
+            run_cfg["stop_residual"], cache=cache,
         )
 
 
@@ -195,8 +201,9 @@ def tune_engines(cfg):
     runs: one (kind, alpha, beta) per engine, alpha and beta None for an
     engine without a grid."""
     suite, mats, x0 = _prepare(cfg)
+    cache = {}
     return [
-        (e["kind"], *_resolve_engine(e, cfg["run"], suite, mats, x0)[:2])
+        (e["kind"], *_resolve_engine(e, cfg["run"], suite, mats, x0, cache)[:2])
         if "tune" in e else (e["kind"], None, None)
         for e in cfg["engines"]
     ]
@@ -238,11 +245,17 @@ def run_experiment(cfg, out_dir=None):
 
 def run_condition_sweep(cfg, condition_numbers, out_dir=None):
     """Tune every engine for each condition number; one summary row per
-    (condition number, engine)."""
+    (condition number, engine). The suites are quadratics with the
+    objective's p and seed."""
+    ocfg = cfg.get("objective", {})
+    if ocfg.get("kind", "quadratic") != "quadratic":
+        raise ConfigError(
+            "a condition-number sweep needs a quadratic objective, "
+            f"not {ocfg['kind']!r}"
+        )
     g, mats = _engine_setup(cfg)
     out_dir = out_dir or cfg["run"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    ocfg = cfg.get("objective", {})
     p = ocfg.get("p", 3)
     x0 = np.random.default_rng(cfg["run"]["seed"]).standard_normal((g.n, p))
 

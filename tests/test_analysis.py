@@ -159,3 +159,51 @@ def test_iterate_records_non_finite_residual_as_inf():
     assert [r.residual for r in trace.records] == [1.0, 10.0, float("inf")]
     assert trace.records[-1].tracking_error is None
     assert trace.records[1].tracking_error == 0.0
+
+
+def test_trace_records_view():
+    trace = an.Trace()
+    trace.append(0, 2.0, 0.5, 0.1)
+    trace.append(1, 1.0, None, 0.2)
+    trace.append(2, 0.5, 0.0, 0.3)
+    records = trace.records
+    assert len(records) == 3
+    assert records[-1].k == 2
+    assert records[1].tracking_error is None
+    assert records[2].tracking_error == 0.0
+    assert list(records) == [
+        an.TraceRecord(0, 2.0, 0.5, 0.1),
+        an.TraceRecord(1, 1.0, None, 0.2),
+        an.TraceRecord(2, 0.5, 0.0, 0.3),
+    ]
+    with pytest.raises(IndexError):
+        records[3]
+    assert not hasattr(records, "append")
+    trace.append(3, 0.25)  # a view reads the columns as they are now
+    assert len(records) == 4 and records[-1].tracking_error is None
+
+
+def test_columns_match_per_record_definitions():
+    def first_below(trace, threshold):
+        for r in trace.records:
+            if r.residual < threshold:
+                return r.k
+        return None
+
+    crossing = geometric_trace(1.0, 0.5, 30)
+    never = geometric_trace(1.0, 0.9, 20)
+    diverged = geometric_trace(1.0, 2.0, 10)
+    diverged.append(11, float("inf"))
+    offset = an.Trace()  # iterations need not be record indices
+    for k, r in [(5, 3.0), (7, 1e-3), (9, 1e-9)]:
+        offset.append(k, r)
+    for trace in (crossing, never, diverged, offset, an.Trace()):
+        for threshold in (2.0, 1e-3, 1e-300, float("inf"), 0.0):
+            assert (an.iterations_to_threshold(trace, threshold)
+                    == first_below(trace, threshold))
+        assert trace.residuals().tolist() == [r.residual for r in trace.records]
+        assert trace.iterations().tolist() == [r.k for r in trace.records]
+    assert an.iterations_to_threshold(never, 1e-3) is None
+    assert an.iterations_to_threshold(diverged, float("inf")) == 0
+    assert an.iterations_to_threshold(offset, 1e-2) == 7
+

@@ -462,3 +462,90 @@ def test_run_overflowing_iterate_ends_on_one_inf_record():
     assert residuals[-1] == np.inf
     assert trace.records[0].tracking_error is not None
     assert trace.records[-1].tracking_error is None
+
+
+def test_measures_equal_norm_expressions_bit_for_bit():
+    rng = np.random.default_rng(30)
+    shapes = [(1, 1), (1, 4)] + [
+        (int(rng.integers(1, 60)), int(rng.integers(1, 8))) for _ in range(200)
+    ]
+    cases = []
+    for n, p in shapes:
+        scale = 10.0 ** rng.uniform(-8, 8)
+        cases.append((scale * rng.standard_normal((n, p)),
+                      rng.standard_normal(p), rng.standard_normal((n, p))))
+    x, x_star, _ = cases[-1]
+    for bad in (np.inf, -np.inf, np.nan):
+        x_bad = x.copy()
+        x_bad[0, 0] = bad
+        cases.append((x_bad, x_star, x_bad))
+
+    def same(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    for x, x_star, y in cases:
+        state = eng.AlgorithmState(x=x, y=y, grads=x)
+        with np.errstate(invalid="ignore"):  # inf - inf in the tracker sum
+            old = float(np.mean(np.linalg.norm(x - x_star, axis=1)))
+            assert same(obj.average_residual(x, x_star), old)
+            old = float(np.linalg.norm(y.sum(axis=0) - x.sum(axis=0)))
+            assert same(eng.tracking_error(state, None), old)
+
+
+def counting_loop(monkeypatch):
+    """Count the runs that engines.run actually computes."""
+    calls = []
+    loop = eng._run
+
+    def counted(*args):
+        calls.append(args[0].kind)
+        return loop(*args)
+
+    monkeypatch.setattr(eng, "_run", counted)
+    return calls
+
+
+def test_run_cache_hit_has_its_own_meta(monkeypatch):
+    _, A, B, suite, x0 = make_setup(6, 2, seed=31)
+    calls = counting_loop(monkeypatch)
+    cache = {}
+    cfg_abm = eng.make_config("abm", 6, 0.02, 0.0, A=A, B=B)
+    first = eng.run(cfg_abm, suite, x0, 3000, 1e-8, cache=cache)
+    cfg_ab = eng.make_config("ab", 6, 0.02, A=A, B=B)
+    hit = eng.run(cfg_ab, suite, x0, 3000, 1e-8, cache=cache)
+    assert calls == ["abm"] and len(cache) == 1
+    assert hit.meta == {"engine": "ab", "config": cfg_ab.digest(),
+                        "termination": "threshold", "cached": True}
+    assert list(hit.records) == list(first.records)
+    first.meta["seed"] = 1
+    hit.meta["seed"] = 2
+    (cached,) = cache.values()
+    assert "seed" not in cached.meta
+    again = eng.run(cfg_ab, suite, x0, 3000, 1e-8, cache=cache)
+    assert "seed" not in again.meta and calls == ["abm"]
+    # gd is heavy_ball at beta = 0
+    gd = eng.make_config("gd", 1, 0.1)
+    hb = eng.make_config("heavy_ball", 1, 0.1, 0.0)
+    eng.run(hb, suite, x0[:1], 200, cache=cache)
+    assert eng.run(gd, suite, x0[:1], 200, cache=cache).meta["cached"]
+    assert calls == ["abm", "heavy_ball"]
+
+
+def test_run_cache_misses_on_any_other_input(monkeypatch):
+    _, A, B, suite, x0 = make_setup(6, 2, seed=32)
+    calls = counting_loop(monkeypatch)
+    cache = {}
+    cfg = eng.make_config("abm", 6, 0.02, 0.0, A=A, B=B)
+    eng.run(cfg, suite, x0, 300, 1e-8, cache=cache)
+    variants = [
+        (cfg, x0 + 1e-12, 300, 1e-8),
+        (cfg, x0, 301, 1e-8),
+        (cfg, x0, 300, 1e-7),
+        (eng.make_config("abm", 6, 0.021, 0.0, A=A, B=B), x0, 300, 1e-8),
+        (eng.make_config("abm", 6, 0.02, 0.1, A=A, B=B), x0, 300, 1e-8),
+        (eng.make_config("ab_extra", 6, 0.02, A=A, B=B), x0, 300, 1e-8),
+    ]
+    for args in variants:
+        trace = eng.run(args[0], suite, *args[1:], cache=cache)
+        assert "cached" not in trace.meta
+    assert len(calls) == len(cache) == 1 + len(variants)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dhb import cli
+from dhb import engines as eng
 from dhb import harness as hs
 
 
@@ -312,3 +313,64 @@ def test_summary_reports_beta_the_engine_runs_with(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path)]) == 0
     assert "ab: alpha=0.03 beta=0 " in capsys.readouterr().out
+
+
+def test_cli_sweep_rejects_non_quadratic_objective(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["objective"] = {"kind": "logistic", "m_i": 5, "p": 2, "reg": 0.1,
+                        "seed": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["sweep", "--config", str(path), "--condition-numbers", "10,100"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "quadratic" in captured.err
+    assert captured.out == ""
+
+
+def tuned_pair_config(tmp_path):
+    grid = [0.01, 0.03]
+    return base_config(tmp_path, engines=[
+        {"kind": "abm", "tune": {"alpha_grid": grid, "beta_grid": [0.0, 0.4]}},
+        {"kind": "ab", "tune": {"alpha_grid": grid}},
+    ])
+
+
+def log_kinds(monkeypatch, name):
+    """Wrap engines.<name> to log the engine kind of every call."""
+    kinds = []
+    fn = getattr(eng, name)
+
+    def logged(cfg, *args, **kwargs):
+        kinds.append(cfg.kind)
+        return fn(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(eng, name, logged)
+    return kinds
+
+
+def test_run_experiment_computes_each_trajectory_once(tmp_path, monkeypatch):
+    runs = log_kinds(monkeypatch, "run")
+    computed = log_kinds(monkeypatch, "_run")
+    traces, _ = hs.run_experiment(tuned_pair_config(tmp_path))
+    # the abm grid's four points; ab's grid is abm's beta = 0 column, and
+    # each winner was run while tuning
+    assert runs == ["abm"] * 5 + ["ab"] * 3
+    assert computed == ["abm"] * 4
+    assert traces["ab"].meta["cached"] and traces["abm"].meta["cached"]
+    assert traces["ab"].meta["engine"] == "ab"
+
+
+def test_run_cache_leaves_outputs_unchanged(tmp_path, monkeypatch):
+    cfg = tuned_pair_config(tmp_path)
+    hs.run_experiment(cfg, out_dir=str(tmp_path / "cached"))
+    run = eng.run
+    monkeypatch.setattr(
+        eng, "run", lambda *a, cache=None, **k: run(*a, cache=None, **k)
+    )
+    hs.run_experiment(cfg, out_dir=str(tmp_path / "uncached"))
+    for name in ("trace_abm.csv", "trace_ab.csv"):
+        assert (strip_elapsed(tmp_path / "cached" / name)
+                == strip_elapsed(tmp_path / "uncached" / name))
+    assert ((tmp_path / "cached" / "summary.csv").read_text()
+            == (tmp_path / "uncached" / "summary.csv").read_text())
