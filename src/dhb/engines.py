@@ -35,14 +35,20 @@ class EngineConfig:
     W_tilde: np.ndarray = None  # second EXTRA matrix, defaults to (I + W)/2
 
     def digest(self):
-        h = hashlib.sha256()
-        h.update(self.kind.encode())
-        h.update(self.alphas.tobytes())
-        h.update(self.betas.tobytes())
-        for m in (self.A, self.B, self.W):
-            if m is not None:
-                h.update(m.entries.tobytes())
-        return h.hexdigest()[:12]
+        """Hash of the numbers the step reads: step-sizes, momenta, weights.
+        The kind is not in it, so ab and abm at beta = 0 share it."""
+        weights = (None if m is None else m.entries
+                   for m in (self.A, self.B, self.W))
+        return _digest(self.alphas, self.betas, *weights, self.W_tilde)
+
+
+def _digest(*arrays):
+    """sha256 hex of arrays hashed in place, not copied; None hashes as a
+    placeholder, so an absent weight slot keeps its place."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"-" if a is None else np.ascontiguousarray(a).data)
+    return h.hexdigest()
 
 
 def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None, W_tilde=None):
@@ -340,19 +346,6 @@ def _canonical_kind(kind):
                 == (spec.step, spec.weights, spec.tracking))
 
 
-def _run_key(cfg, x0, max_iter, stop_residual):
-    """Everything a run's trajectory depends on, besides its suite: a
-    digest of the arrays (hashed in place, not copied) plus the limits."""
-    h = hashlib.sha256(_canonical_kind(cfg.kind).encode())
-    x0 = np.ascontiguousarray(x0, dtype=float)
-    h.update(repr(x0.shape).encode())
-    arrays = [cfg.alphas, cfg.betas, x0]
-    arrays += [None if m is None else m.entries for m in (cfg.A, cfg.B, cfg.W)]
-    for a in arrays + [cfg.W_tilde]:
-        h.update(b"-" if a is None else np.ascontiguousarray(a).data)
-    return h.hexdigest(), int(max_iter), float(stop_residual)
-
-
 def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     """Iterate an engine, recording the average residual per iteration.
 
@@ -363,19 +356,24 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     as a trace sharing the cached records with its own meta
     (`cached=True`).
     """
+    digest = cfg.digest()
     if cache is None:
-        return _run(cfg, suite, x0, max_iter, stop_residual)
-    key = _run_key(cfg, x0, max_iter, stop_residual)
+        return _run(cfg, suite, x0, max_iter, stop_residual, digest)
+    # everything the trajectory depends on, besides the suite
+    x0 = np.asarray(x0, dtype=float)
+    key = (_canonical_kind(cfg.kind), digest, x0.shape, _digest(x0),
+           int(max_iter), float(stop_residual))
     hit = cache.get(key)
     if hit is None:
-        cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual)
+        cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual,
+                                  digest)
         return trace.with_meta(dict(trace.meta))
-    return hit.with_meta({"engine": cfg.kind, "config": cfg.digest(),
-                        "termination": hit.meta["termination"],
-                        "cached": True})
+    return hit.with_meta({"engine": cfg.kind, "config": digest,
+                          "termination": hit.meta["termination"],
+                          "cached": True})
 
 
-def _run(cfg, suite, x0, max_iter, stop_residual):
+def _run(cfg, suite, x0, max_iter, stop_residual, digest):
     """The run itself; run() adds the cache around it."""
     x_star = suite.minimizer()
     step = STEP_FUNCTIONS[cfg.kind]
@@ -389,7 +387,7 @@ def _run(cfg, suite, x0, max_iter, stop_residual):
 
     return iterate(
         init_state(cfg, suite, x0), lambda st: step(st, cfg, suite), measure,
-        max_iter, stop_residual, {"engine": cfg.kind, "config": cfg.digest()},
+        max_iter, stop_residual, {"engine": cfg.kind, "config": digest},
     )
 
 

@@ -181,9 +181,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
     Returns x* with ||grad F(x*)|| < tol.
     """
     if suite.kind == "quadratic":
-        q_sum = np.sum([f.q_diag for f in suite.locals], axis=0)
-        b_sum = np.sum([f.b for f in suite.locals], axis=0)
-        return -b_sum / (2.0 * q_sum)
+        return -suite._b_sum / (2.0 * suite._q_sum)
     x = np.zeros(suite.p)
     for _ in range(max_iter):
         g = suite.global_gradient(x)

@@ -1,11 +1,16 @@
 """Row-, column-, and doubly-stochastic weight matrices for a given graph."""
 
+from functools import cached_property
+
 import numpy as np
+
+from . import graph as gr
 
 ROW = "row"
 COLUMN = "column"
 DOUBLY = "doubly"
 
+# bound on the row/column-sum errors and on the Perron residual |Wv - v|
 STOCHASTIC_TOL = 1e-12
 
 
@@ -16,14 +21,13 @@ class WeightError(Exception):
 class WeightMatrix:
     """Nonnegative n x n matrix tagged with its stochasticity kind.
 
-    pi_r is the left Perron vector (rows sum to one; present for row/doubly
-    stochastic matrices), normalized pi_r^T 1 = 1. pi_c is the right Perron
-    vector (columns sum to one; present for column/doubly stochastic
-    matrices), normalized 1^T pi_c = 1. Both are computed at construction
-    by power iteration and cached. Immutable after construction.
+    pi_r (row/doubly kinds: pi_r^T W = pi_r^T, pi_r^T 1 = 1) and pi_c
+    (column/doubly kinds: W pi_c = pi_c, 1^T pi_c = 1) are None for the
+    other kind. Both are solved exactly on first read (perron_vectors) and
+    cached; a reducible matrix constructs, but reading them raises.
     """
 
-    def __init__(self, entries, kind, tol=1e-12, max_iter=None):
+    def __init__(self, entries, kind):
         entries = np.asarray(entries, dtype=float)
         n = entries.shape[0]
         if entries.shape != (n, n):
@@ -46,7 +50,13 @@ class WeightMatrix:
         self.entries = entries
         self.entries.setflags(write=False)
         self.kind = kind
-        self.pi_r, self.pi_c = perron_vectors(self, tol=tol, max_iter=max_iter)
+
+    @cached_property
+    def _perron(self):
+        return perron_vectors(self)
+
+    pi_r = property(lambda self: self._perron[0])
+    pi_c = property(lambda self: self._perron[1])
 
     def infinite_power(self):
         """Power limit: 1 pi_r^T (row), pi_c 1^T (column), (1/n) 1 1^T (doubly)."""
@@ -64,63 +74,52 @@ class WeightMatrix:
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _power_iterate(m, tol, max_iter):
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        v_next = m @ v
-        v_next /= np.sum(np.abs(v_next))
-        if np.max(np.abs(v_next - v)) < tol:
-            return v_next
-        v = v_next
-    raise WeightError(f"power iteration did not converge in {max_iter} steps")
+def _fixed_point(m, side):
+    """v with m v = v and 1^T v = 1: (m - I) v = 0 with its last equation
+    replaced by 1^T v = 1, nonsingular for an irreducible stochastic m."""
+    n = len(m)
+    bordered = np.array(m)  # a C-ordered copy, also of a transposed view
+    bordered.flat[:: n + 1] -= 1.0
+    bordered[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise WeightError(f"{side} Perron system is singular") from exc
+    resid = np.max(np.abs(m @ v - v))
+    if not resid <= STOCHASTIC_TOL:
+        raise WeightError(f"{side} Perron residual {resid:.2e}")
+    if np.any(v <= 0):
+        raise WeightError(f"{side} Perron vector not strictly positive")
+    return v
 
 
-def perron_vectors(w, tol=1e-12, max_iter=None):
-    """Perron vectors of a primitive stochastic matrix by power iteration.
+def perron_vectors(w):
+    """Perron vectors (pi_r, pi_c) of a WeightMatrix, one linear solve each.
 
-    Returns (pi_r, pi_c); the entry not defined for the matrix kind is None.
-    pi_r solves pi_r^T W = pi_r^T with pi_r^T 1 = 1 and is obtained by
-    iterating W^T; pi_c solves W pi_c = pi_c with 1^T pi_c = 1.
+    The one not defined for the kind is None. A reducible W (support graph
+    not strongly connected) has no unique positive one: WeightError.
     """
-    tol = float(tol)
-    if max_iter is None:
-        max_iter = 100 * w.n if hasattr(w, "n") else 100 * len(w)
-    entries = w.entries if hasattr(w, "entries") else np.asarray(w)
-    kind = w.kind if hasattr(w, "kind") else None
-    pi_r = pi_c = None
-    if kind in (ROW, DOUBLY, None):
-        pi_r = _power_iterate(entries.T, tol, max_iter)
-        pi_r = pi_r / pi_r.sum()
-        if np.any(pi_r <= 0):
-            raise WeightError("left Perron vector not strictly positive")
-    if kind in (COLUMN, DOUBLY, None):
-        pi_c = _power_iterate(entries, tol, max_iter)
-        pi_c = pi_c / pi_c.sum()
-        if np.any(pi_c <= 0):
-            raise WeightError("right Perron vector not strictly positive")
+    support = gr.Digraph(w.n, np.argwhere(w.entries.T).tolist())  # j -> i
+    if not gr.is_strongly_connected(support):
+        raise WeightError("matrix is reducible: no unique positive Perron vector")
+    pi_r = _fixed_point(w.entries.T, "left") if w.kind != COLUMN else None
+    pi_c = _fixed_point(w.entries, "right") if w.kind != ROW else None
     return pi_r, pi_c
 
 
 def uniform_row_stochastic(g):
     """a_ij = 1 / |in-neighbors of i| for each in-neighbor j of i."""
-    n = g.n
-    a = np.zeros((n, n))
-    for i in range(n):
-        nbrs = g.in_neighbors[i]
-        for j in nbrs:
-            a[i, j] = 1.0 / len(nbrs)
+    a = g.adjacency()
+    a /= a.sum(axis=1, keepdims=True)
     return WeightMatrix(a, ROW)
 
 
 def uniform_column_stochastic(g):
     """b_ij = 1 / |out-neighbors of j| for each out-neighbor i of j."""
-    n = g.n
-    b = np.zeros((n, n))
-    for j in range(n):
-        nbrs = g.out_neighbors[j]
-        for i in nbrs:
-            b[i, j] = 1.0 / len(nbrs)
+    b = g.adjacency()
+    b /= b.sum(axis=0)
     return WeightMatrix(b, COLUMN)
 
 

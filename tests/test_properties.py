@@ -1,0 +1,79 @@
+"""Properties that hold on every generated graph, checked on random draws."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from dhb import engines as eng
+from dhb import graph as gr
+from dhb import objectives as obj
+from dhb import weights as wt
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(2, 40))
+    ring_degree = draw(st.integers(1, n - 1))
+    extra = draw(st.floats(0.0, 0.2))
+    seed = draw(st.integers(0, 2**16))
+    directed = draw(st.booleans())
+    return gr.generate_nearest_neighbor(n, ring_degree, extra, seed, directed)
+
+
+def suite_and_start(n, seed):
+    rng = np.random.default_rng(seed)
+    suite = obj.quadratic_suite(
+        rng.uniform(0.5, 2.0, (n, 2)), rng.standard_normal((n, 2))
+    )
+    return suite, rng.standard_normal((n, 2))
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_generated_graph_is_strongly_connected(g):
+    assert gr.is_strongly_connected(g)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_weights_are_stochastic_with_exact_perron_vectors(g):
+    a = wt.uniform_row_stochastic(g)
+    b = wt.uniform_column_stochastic(g)
+    assert np.max(np.abs(a.entries.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(b.entries.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(a.pi_r @ a.entries - a.pi_r)) < 1e-12
+    assert np.max(np.abs(b.entries @ b.pi_c - b.pi_c)) < 1e-12
+    assert np.all(a.pi_r > 0) and np.all(b.pi_c > 0)
+
+
+@PROPERTY_SETTINGS
+@given(graphs(), st.integers(0, 2**16))
+def test_tracking_sum_invariant(g, seed):
+    suite, x0 = suite_and_start(g.n, seed)
+    A = wt.uniform_row_stochastic(g)
+    B = wt.uniform_column_stochastic(g)
+    cfg = eng.make_config("abm", g.n, 0.01, 0.3, A=A, B=B)
+    state = eng.init_state(cfg, suite, x0)
+    for _ in range(50):
+        state = eng.abm_step(state, cfg, suite)
+        grad_sum = state.grads.sum(axis=0)
+        drift = eng.tracking_error(state, suite)
+        assert drift / (1.0 + np.linalg.norm(grad_sum)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(graphs(), st.integers(0, 2**16))
+def test_ab_extra_form_equals_ab(g, seed):
+    suite, x0 = suite_and_start(g.n, seed)
+    A = wt.uniform_row_stochastic(g)
+    B = wt.uniform_column_stochastic(g)
+    cfg_ab = eng.make_config("ab", g.n, 0.01, A=A, B=B)
+    cfg_ex = eng.make_config("ab_extra", g.n, 0.01, A=A, B=B)
+    s_ab = eng.init_state(cfg_ab, suite, x0)
+    s_ex = eng.init_state(cfg_ex, suite, x0)
+    for _ in range(50):
+        s_ab = eng.ab_step(s_ab, cfg_ab, suite)
+        s_ex = eng.ab_extra_form_step(s_ex, cfg_ex, suite)
+        assert np.max(np.abs(s_ab.x - s_ex.x)) <= 1e-9

@@ -120,6 +120,45 @@ def test_perron_matches_dense_eig_oracle():
     assert np.allclose(a.pi_r, oracle, atol=1e-9)
 
 
+@pytest.mark.parametrize("extra", [0.0, 3e-4])
+def test_perron_large_directed_ring(extra):
+    # without extra links, 100 n power steps left pi_r unconverged here
+    g = gr.generate_nearest_neighbor(1000, 3, extra, seed=1, directed=True)
+    a = wt.uniform_row_stochastic(g)
+    assert np.max(np.abs(a.pi_r @ a.entries - a.pi_r)) < 1e-12
+    b = wt.uniform_column_stochastic(g)
+    assert np.max(np.abs(b.entries @ b.pi_c - b.pi_c)) < 1e-12
+
+
+@pytest.mark.parametrize("entries,kind", [
+    (np.eye(3), wt.DOUBLY),
+    (np.kron(np.eye(2), np.full((2, 2), 0.5)), wt.DOUBLY),
+    (np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]), wt.ROW),
+], ids=["identity", "block_diagonal", "absorbing"])
+def test_reducible_matrix_raises_when_perron_is_read(entries, kind):
+    w = wt.WeightMatrix(entries, kind)
+    with pytest.raises(wt.WeightError):
+        w.pi_r
+    with pytest.raises(wt.WeightError):
+        w.pi_c
+
+
+def test_perron_solved_once_on_first_read(monkeypatch):
+    calls = []
+    solve = wt.perron_vectors
+
+    def counted(w):
+        calls.append(w.kind)
+        return solve(w)
+
+    monkeypatch.setattr(wt, "perron_vectors", counted)
+    g = gr.generate_nearest_neighbor(8, 2, 0.05, seed=4, directed=True)
+    a = wt.uniform_row_stochastic(g)
+    assert calls == []
+    assert a.pi_r is a.pi_r and a.pi_c is None
+    assert calls == [wt.ROW]
+
+
 def test_infinite_power_closed_forms():
     g = gr.generate_nearest_neighbor(8, 2, 0.05, seed=4, directed=True)
     a = wt.uniform_row_stochastic(g)
