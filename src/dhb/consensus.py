@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import grid_argmin, iterate
+from .objectives import average_residual
 from . import weights as wt
 
 
@@ -91,8 +92,7 @@ def consensus_run(sys_, values, max_iter, tol=0.0):
     m = sys_.n * sys_.p
 
     def measure(s):
-        x = s[:m].reshape(sys_.n, sys_.p)
-        return float(np.mean(np.linalg.norm(x - mean, axis=1))), None
+        return average_residual(s[:m].reshape(sys_.n, sys_.p), mean), None
 
     return iterate(
         initial_stack(sys_, values), lambda s: sys_.H @ s, measure, max_iter,

@@ -32,7 +32,7 @@ class EngineConfig:
     A: object = None       # row-stochastic WeightMatrix
     B: object = None       # column-stochastic WeightMatrix
     W: object = None       # doubly-stochastic WeightMatrix
-    W_tilde: np.ndarray = None  # second EXTRA matrix, defaults to (I + W)/2
+    W_tilde: np.ndarray = None  # second EXTRA matrix: (I + W)/2 for extra
 
     def digest(self):
         """Hash of the numbers the step reads: step-sizes, momenta, weights.
@@ -51,7 +51,7 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None, W_tilde=None):
+def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     if kind not in ENGINES:
         raise EngineError(f"unknown engine kind {kind!r}")
     spec = ENGINES[kind]
@@ -75,8 +75,7 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None, W_tilde=None):
                 raise EngineError(f"{kind} needs a doubly-stochastic matrix W")
             if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
                 raise EngineError("extra requires a symmetric W")
-    if kind == "extra" and W_tilde is None:
-        W_tilde = (np.eye(n) + W.entries) / 2.0
+    W_tilde = (np.eye(n) + W.entries) / 2.0 if kind == "extra" else None
     return EngineConfig(kind, alphas, betas, A=A, B=B, W=W, W_tilde=W_tilde)
 
 
@@ -92,7 +91,6 @@ class AlgorithmState:
     z: np.ndarray = None          # transformed/scaled estimates
     w: np.ndarray = None          # n-vector eigenvector estimate
     V: np.ndarray = None          # n x n eigenvector-estimate matrix
-    k: int = 0
 
 
 def _check_shapes(x0, n, p):
@@ -106,7 +104,8 @@ def init_state(cfg, suite, x0):
     """Bootstrap conventions: x_prev = 0, y_0 = local gradients at x_0.
 
     A kind without weight slots holds one centralized iterate. extra and
-    ab_extra prime their second history on the first step call.
+    ab_extra prime their second history on the first step call, the one
+    whose state has no grads_prev.
     """
     if not ENGINES[cfg.kind].weights:
         x0 = _check_shapes(x0, 1, suite.p)
@@ -136,9 +135,7 @@ def abm_step(state, cfg, suite):
     )
     grads_new = suite.stacked_gradient(x_new)
     y_new = b @ state.y + grads_new - state.grads
-    return replace(
-        state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new, k=state.k + 1
-    )
+    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new)
 
 
 # ab is abm with beta = 0, which make_config fixes for it
@@ -146,57 +143,47 @@ ab_step = abm_step
 
 
 def ds_tracking_step(state, cfg, suite):
-    """Doubly-stochastic gradient tracking (Aug-DGM / DIGing updates)."""
-    w = cfg.W.entries
-    x_new = w @ state.x - cfg.alphas[:, None] * state.y
-    grads_new = suite.stacked_gradient(x_new)
-    y_new = w @ state.y + grads_new - state.grads
-    return replace(
-        state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new, k=state.k + 1
-    )
+    """Doubly-stochastic gradient tracking (Aug-DGM / DIGing updates): ab
+    with W in both weight slots."""
+    return abm_step(state, replace(cfg, A=cfg.W, B=cfg.W), suite)
 
 
-def extra_step(state, cfg, suite):
-    """EXTRA: two-history update with symmetric doubly-stochastic weights."""
-    w = cfg.W.entries
+def _two_history_step(state, cfg, suite, first, current, previous):
+    """x_{k+1} = current(x_k) - previous(x_{k-1}) - alpha (g_k - g_{k-1}),
+    after a first step x_1 = first @ x_0 - alpha g_0 (y_0 = g_0)."""
     alpha = cfg.alphas[0]
-    if state.k == 0:
-        x_new = w @ state.x - alpha * state.grads
+    if state.grads_prev is None:
+        x_new = first @ state.x - alpha * state.grads
     else:
         x_new = (
-            state.x + w @ state.x
-            - cfg.W_tilde @ state.x_prev
+            current(state.x)
+            - previous(state.x_prev)
             - alpha * (state.grads - state.grads_prev)
         )
     grads_new = suite.stacked_gradient(x_new)
-    return replace(
-        state, x=x_new, x_prev=state.x,
-        grads=grads_new, grads_prev=state.grads, k=state.k + 1,
-    )
+    return replace(state, x=x_new, x_prev=state.x,
+                   grads=grads_new, grads_prev=state.grads)
+
+
+def extra_step(state, cfg, suite):
+    """EXTRA: two-history update with symmetric doubly-stochastic weights,
+    (I + W) x_k - W_tilde x_{k-1}."""
+    w = cfg.W.entries
+    return _two_history_step(state, cfg, suite, w, lambda x: x + w @ x,
+                             lambda x: cfg.W_tilde @ x)
 
 
 def ab_extra_form_step(state, cfg, suite):
-    """Gradient tracking rewritten as a two-history EXTRA-style recursion.
+    """Gradient tracking rewritten as a two-history EXTRA-style recursion,
+    (A + B) x_k - B A x_{k-1}.
 
     Produces the same x-sequence as ab_step under an identical scalar
     step-size; the first call performs one ab_step to align histories.
     """
     a = cfg.A.entries
     b = cfg.B.entries
-    alpha = cfg.alphas[0]
-    if state.k == 0:
-        x_new = a @ state.x - alpha * state.grads  # y_0 = local gradients
-    else:
-        x_new = (
-            (a + b) @ state.x
-            - b @ (a @ state.x_prev)
-            - alpha * (state.grads - state.grads_prev)
-        )
-    grads_new = suite.stacked_gradient(x_new)
-    return replace(
-        state, x=x_new, x_prev=state.x,
-        grads=grads_new, grads_prev=state.grads, k=state.k + 1,
-    )
+    return _two_history_step(state, cfg, suite, a, lambda x: (a + b) @ x,
+                             lambda x: b @ (a @ x))
 
 
 def addopt_step(state, cfg, suite):
@@ -214,10 +201,8 @@ def addopt_step(state, cfg, suite):
     x_new = z_new / w_new[:, None]
     grads_new = suite.stacked_gradient(x_new)
     y_new = b @ state.y + grads_new - state.grads
-    return replace(
-        state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-        z=z_new, w=w_new, k=state.k + 1,
-    )
+    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                   z=z_new, w=w_new)
 
 
 def frost_step(state, cfg, suite):
@@ -235,10 +220,8 @@ def frost_step(state, cfg, suite):
         raise EngineError("eigenvector estimate degenerated to zero")
     grads_new = suite.stacked_gradient(x_new) / d_new[:, None]
     y_new = a @ state.y + grads_new - state.grads
-    return replace(
-        state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-        V=v_new, k=state.k + 1,
-    )
+    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                   V=v_new)
 
 
 def transformed_ab_exact_step(state, cfg, suite):
@@ -251,10 +234,8 @@ def transformed_ab_exact_step(state, cfg, suite):
     x_new = z_new / scale[:, None]
     grads_new = suite.stacked_gradient(x_new)
     y_new = cfg.B.entries @ state.y + grads_new - state.grads
-    return replace(
-        state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-        z=z_new, k=state.k + 1,
-    )
+    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                   z=z_new)
 
 
 def centralized_gd_step(x, alpha, suite):
@@ -280,7 +261,7 @@ def centralized_step(state, cfg, suite):
     x_new, _ = centralized_hb_step(
         state.x[0], state.x_prev[0], cfg.alphas[0], cfg.betas[0], suite
     )
-    return replace(state, x=x_new[None, :], x_prev=state.x, k=state.k + 1)
+    return replace(state, x=x_new[None, :], x_prev=state.x)
 
 
 @dataclass(frozen=True)
@@ -336,32 +317,24 @@ def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
     return ok, lam
 
 
-def _canonical_kind(kind):
-    """The first ENGINES kind that steps like `kind`: kinds differing only
-    in whether they read beta (ab and abm, gd and heavy_ball) share runs,
-    since make_config zeroes beta for the one without momentum."""
-    spec = ENGINES[kind]
-    return next(k for k, s in ENGINES.items()
-                if (s.step, s.weights, s.tracking)
-                == (spec.step, spec.weights, spec.tracking))
-
-
 def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     """Iterate an engine, recording the average residual per iteration.
 
     Stops at max_iter, below stop_residual, or on divergence (see
-    analysis.iterate). `cache` is a dict holding the runs of one suite:
-    a run whose canonical kind, alphas, betas, weights, x0, max_iter and
-    stop_residual are already in it is not computed again, and comes back
-    as a trace sharing the cached records with its own meta
-    (`cached=True`).
+    analysis.iterate). `cache` is a dict holding the runs of one suite
+    (None: a fresh one): a run whose step function, tracking flag, alphas,
+    betas, weights, x0, max_iter and stop_residual are already in it is not
+    computed again, and comes back as a trace sharing the cached records
+    with its own meta (`cached=True`). Kinds that share a step share runs:
+    ab and abm, gd and heavy_ball, since make_config zeroes beta for the
+    one without momentum.
     """
+    cache = {} if cache is None else cache
     digest = cfg.digest()
-    if cache is None:
-        return _run(cfg, suite, x0, max_iter, stop_residual, digest)
+    spec = ENGINES[cfg.kind]
     # everything the trajectory depends on, besides the suite
     x0 = np.asarray(x0, dtype=float)
-    key = (_canonical_kind(cfg.kind), digest, x0.shape, _digest(x0),
+    key = (spec.step, spec.tracking, digest, x0.shape, _digest(x0),
            int(max_iter), float(stop_residual))
     hit = cache.get(key)
     if hit is None:

@@ -18,21 +18,27 @@ class ConfigError(Exception):
     pass
 
 
-_GRAPH_KEYS = {"n", "ring_degree", "extra_link_fraction", "directed", "seed"}
-_QUAD_KEYS = {"kind", "p", "condition_number", "seed"}
-_LOGI_KEYS = {"kind", "m_i", "p", "reg", "seed"}
-_ENGINE_KEYS = {"kind", "alpha", "beta", "tune"}
-_TUNE_KEYS = {"alpha_grid", "beta_grid"}
-_RUN_KEYS = {"max_iter", "stop_residual", "seed", "out_dir"}
-_CONSENSUS_KEYS = {"alpha_grid", "beta_grid", "max_iter", "tol", "seed"}
-_TOP_KEYS = {"graph", "objective", "engines", "run", "consensus"}
+# section -> (required keys, optional keys); an objective's section is
+# its kind
+_SCHEMA = {
+    "config": ({"graph", "run"}, {"objective", "engines", "consensus"}),
+    "graph": ({"n", "ring_degree", "extra_link_fraction", "directed", "seed"},
+              set()),
+    "quadratic": ({"kind", "p", "condition_number", "seed"}, set()),
+    "logistic": ({"kind", "m_i", "p", "reg", "seed"}, set()),
+    "engine": ({"kind"}, {"alpha", "beta", "tune"}),
+    "tune": ({"alpha_grid"}, {"beta_grid"}),
+    "run": ({"max_iter", "stop_residual", "seed", "out_dir"}, set()),
+    "consensus": ({"alpha_grid", "max_iter", "tol", "seed"}, {"beta_grid"}),
+}
 
 
-def _check_keys(section, data, allowed, required=()):
-    unknown = set(data) - allowed
+def _check_keys(section, data, schema=None):
+    required, optional = _SCHEMA[schema or section]
+    unknown = set(data) - required - optional
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
-    missing = set(required) - set(data)
+    missing = required - set(data)
     if missing:
         raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
 
@@ -44,38 +50,27 @@ def parse_config(path):
 
 
 def validate_config(data):
-    _check_keys("config", data, _TOP_KEYS, required=("graph", "run"))
-    _check_keys("graph", data["graph"], _GRAPH_KEYS,
-                required=("n", "ring_degree", "extra_link_fraction",
-                          "directed", "seed"))
+    _check_keys("config", data)
+    _check_keys("graph", data["graph"])
     if "objective" in data:
-        obj = data["objective"]
-        kind = obj.get("kind")
-        if kind == "quadratic":
-            _check_keys("objective", obj, _QUAD_KEYS,
-                        required=("kind", "p", "condition_number", "seed"))
-        elif kind == "logistic":
-            _check_keys("objective", obj, _LOGI_KEYS,
-                        required=("kind", "m_i", "p", "reg", "seed"))
-        else:
+        kind = data["objective"].get("kind")
+        if kind not in ("quadratic", "logistic"):
             raise ConfigError(f"unknown objective kind {kind!r}")
+        _check_keys("objective", data["objective"], kind)
     for i, e in enumerate(data.get("engines", [])):
-        _check_keys(f"engines[{i}]", e, _ENGINE_KEYS, required=("kind",))
+        _check_keys(f"engines[{i}]", e, "engine")
         if e["kind"] not in eng.ENGINE_WEIGHTS:
             raise ConfigError(f"unknown engine kind {e['kind']!r}")
         if "tune" in e:
-            _check_keys(f"engines[{i}].tune", e["tune"], _TUNE_KEYS,
-                        required=("alpha_grid",))
+            _check_keys(f"engines[{i}].tune", e["tune"], "tune")
         if "W" in eng.ENGINE_WEIGHTS[e["kind"]] and data["graph"]["directed"]:
             raise ConfigError(
                 f"engine {e['kind']!r} needs doubly-stochastic weights and "
                 "therefore an undirected graph; set graph.directed to false"
             )
-    _check_keys("run", data["run"], _RUN_KEYS,
-                required=("max_iter", "stop_residual", "seed", "out_dir"))
+    _check_keys("run", data["run"])
     if "consensus" in data:
-        _check_keys("consensus", data["consensus"], _CONSENSUS_KEYS,
-                    required=("alpha_grid", "max_iter", "tol", "seed"))
+        _check_keys("consensus", data["consensus"])
     return data
 
 
@@ -123,26 +118,28 @@ def build_weights(g, kinds_needed):
     return out
 
 
-def _engine_setup(cfg):
-    """The graph and the weight matrices that the configured engines read."""
+def _prepare(cfg):
+    """Suite, weight matrices and initial iterate of an engine experiment;
+    the matrices are those the configured engines read."""
+    if "objective" not in cfg:
+        raise ConfigError("config has no objective section")
     if not cfg.get("engines"):
         raise ConfigError("config lists no engines")
     kinds = [e["kind"] for e in cfg["engines"]]
     if len(set(kinds)) < len(kinds):
         raise ConfigError("config lists an engine kind more than once")
     g = build_graph(cfg["graph"])
-    slots = {s for e in cfg["engines"] for s in eng.ENGINE_WEIGHTS[e["kind"]]}
-    return g, build_weights(g, slots)
-
-
-def _prepare(cfg):
-    """Suite, weight matrices and initial iterate of an engine experiment."""
-    if "objective" not in cfg:
-        raise ConfigError("config has no objective section")
-    g, mats = _engine_setup(cfg)
+    mats = build_weights(g, {s for k in kinds for s in eng.ENGINE_WEIGHTS[k]})
     suite = build_objective(cfg["objective"], g.n)
     rng = np.random.default_rng(cfg["run"]["seed"])
     return suite, mats, rng.standard_normal((g.n, suite.p))
+
+
+def _out_dir(cfg, out_dir):
+    """out_dir, else the config's run.out_dir, created if missing."""
+    out_dir = out_dir or cfg["run"]["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _resolve_engine(ecfg, run_cfg, suite, mats, x0, cache):
@@ -213,8 +210,7 @@ def run_experiment(cfg, out_dir=None):
     """One figure's worth of runs: a trace CSV per engine, a summary CSV,
     and a plot script rendering all engines on one log-residual axes."""
     suite, mats, x0 = _prepare(cfg)
-    out_dir = out_dir or cfg["run"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(cfg, out_dir)
 
     traces = {}
     summary = []
@@ -247,21 +243,18 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
     """Tune every engine for each condition number; one summary row per
     (condition number, engine). The suites are quadratics with the
     objective's p and seed."""
-    ocfg = cfg.get("objective", {})
-    if ocfg.get("kind", "quadratic") != "quadratic":
+    _, mats, x0 = _prepare(cfg)
+    ocfg = cfg["objective"]
+    if ocfg["kind"] != "quadratic":
         raise ConfigError(
             "a condition-number sweep needs a quadratic objective, "
             f"not {ocfg['kind']!r}"
         )
-    g, mats = _engine_setup(cfg)
-    out_dir = out_dir or cfg["run"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    p = ocfg.get("p", 3)
-    x0 = np.random.default_rng(cfg["run"]["seed"]).standard_normal((g.n, p))
+    out_dir = _out_dir(cfg, out_dir)
 
     rows = []
     for q in condition_numbers:
-        suite = build_quadratic(g.n, p, q, ocfg.get("seed", 0))
+        suite = build_quadratic(*x0.shape, q, ocfg["seed"])
         for kind, alpha, beta, trace in _run_engines(cfg, suite, mats, x0):
             iters = iterations_to_threshold(trace, cfg["run"]["stop_residual"])
             rows.append({
@@ -280,16 +273,14 @@ def run_consensus_experiment(cfg, out_dir=None):
     from the same initial values, and emit traces plus radius grids."""
     if "consensus" not in cfg:
         raise ConfigError("config has no consensus section")
-    out_dir = out_dir or cfg["run"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(cfg, out_dir)
     ccfg = cfg["consensus"]
-    g = build_graph(cfg["graph"])
-    A = wt.uniform_row_stochastic(g)
-    B = wt.uniform_column_stochastic(g)
+    mats = build_weights(build_graph(cfg["graph"]), {"A", "B"})
+    A, B = mats["A"], mats["B"]
     alpha_grid = ccfg["alpha_grid"]
     beta_grid = ccfg.get("beta_grid", [0.0])
     rng = np.random.default_rng(ccfg["seed"])
-    values = rng.standard_normal((g.n, 1))
+    values = rng.standard_normal((A.n, 1))
 
     results = {}
     for form in ("abmc", "surplus"):

@@ -549,3 +549,33 @@ def test_run_cache_misses_on_any_other_input(monkeypatch):
         trace = eng.run(args[0], suite, *args[1:], cache=cache)
         assert "cached" not in trace.meta
     assert len(calls) == len(cache) == 1 + len(variants)
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42, 43])
+def test_ds_tracking_matches_plain_diging_recursion(seed):
+    # the DIGing recursion written out, independent of abm_step:
+    # x' = W x - alpha y, y' = W y + g(x') - g(x), y_0 = g(x_0)
+    n, p, alpha, steps = 5 + seed % 4, 1 + seed % 3, 0.05, 300
+    g = gr.generate_nearest_neighbor(n, 2, 0.2, seed=seed, directed=False)
+    W = wt.laplacian_doubly_stochastic(g)
+    rng = np.random.default_rng(seed)
+    suite = obj.quadratic_suite(
+        rng.uniform(0.5, 2.0, (n, p)), rng.standard_normal((n, p))
+    )
+    x = rng.standard_normal((n, p))
+    trace = eng.run(eng.make_config("ds_tracking", n, alpha, W=W), suite, x,
+                    steps)
+    x_star = suite.minimizer()
+    grads = suite.stacked_gradient(x)
+    y = grads.copy()
+    residuals = [obj.average_residual(x, x_star)]
+    for _ in range(steps):
+        x = W.entries @ x - alpha * y
+        grads_new = suite.stacked_gradient(x)
+        y = W.entries @ y + grads_new - grads
+        grads = grads_new
+        residuals.append(obj.average_residual(x, x_star))
+    assert trace.meta["termination"] == "max_iter"
+    assert trace.residuals().tobytes() == np.array(residuals).tobytes()
+    final = eng.AlgorithmState(x=x, y=y, grads=grads)
+    assert trace.records[-1].tracking_error == eng.tracking_error(final, suite)

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dhb import cli
 from dhb import engines as eng
 from dhb import harness as hs
+from dhb.analysis import Trace
 
 
 def base_config(tmp_path, directed=True, engines=None, condition_number=9.0):
@@ -374,3 +377,49 @@ def test_run_cache_leaves_outputs_unchanged(tmp_path, monkeypatch):
                 == strip_elapsed(tmp_path / "uncached" / name))
     assert ((tmp_path / "cached" / "summary.csv").read_text()
             == (tmp_path / "uncached" / "summary.csv").read_text())
+
+
+def test_sweep_needs_an_objective(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    del cfg["objective"]
+    with pytest.raises(hs.ConfigError, match="no objective"):
+        hs.run_condition_sweep(cfg, [10.0])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["sweep", "--config", str(path), "--condition-numbers", "10"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_shipped_quickstart_config(tmp_path):
+    out = tmp_path / "quickstart"
+    args = ["run", "--config", str(CONFIGS / "quickstart.json"),
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    with open(out / "summary.csv", newline="") as f:
+        rows = {row["engine"]: row for row in csv.DictReader(f)}
+    assert {kind: int(row["iterations_to_threshold"])
+            for kind, row in rows.items()} == {
+        "abm": 4345, "ab": 6136, "gd": 964, "heavy_ball": 120}
+    assert all(row["termination"] == "threshold" for row in rows.values())
+
+
+def test_shipped_consensus_config(tmp_path, capsys):
+    out = tmp_path / "consensus"
+    path = CONFIGS / "consensus_directed.json"
+    assert cli.main(["consensus", "--config", str(path),
+                     "--out", str(out)]) == 0
+    tuned = {line.split(":")[0]: line.split()[1:3]
+             for line in capsys.readouterr().out.splitlines()}
+    assert tuned == {"abmc": ["alpha=0.15", "beta=0.4"],
+                     "surplus": ["alpha=0.2", "beta=0"]}
+    ccfg = hs.parse_config(path)["consensus"]
+    for form in tuned:
+        trace = Trace.from_csv(out / f"trace_consensus_{form}.csv")
+        # a run that stopped below tol before max_iter ended on "threshold"
+        assert trace.records[-1].k < ccfg["max_iter"]
+        assert trace.records[-1].residual < ccfg["tol"]
