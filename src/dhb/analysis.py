@@ -1,6 +1,7 @@
 """Convergence-rate measurement and trace bookkeeping."""
 
 import csv
+import math
 import time
 from array import array
 from collections.abc import Sequence
@@ -48,11 +49,16 @@ class Trace:
         return _Records(self._columns)
 
     def append(self, k, residual, tracking_error=None, elapsed=0.0):
+        te = math.nan if tracking_error is None else tracking_error
+        self.extend(k, [residual], [te], elapsed)
+
+    def extend(self, k, residuals, tracking_errors, elapsed):
+        """Records k, k+1, ... at one elapsed time (NaN: no tracking error)."""
         ks, rs, tes, els = self._columns
-        ks.append(k)
-        rs.append(residual)
-        tes.append(float("nan") if tracking_error is None else tracking_error)
-        els.append(elapsed)
+        ks.extend(range(k, k + len(residuals)))
+        rs.extend(residuals)
+        tes.extend(tracking_errors)
+        els.extend([elapsed] * len(residuals))
 
     def residuals(self):
         return np.array(self._columns[1])
@@ -65,13 +71,11 @@ class Trace:
         return self.meta.get("termination") == "diverged"
 
     def to_csv(self, path):
+        """csv.writer's bytes: CRLF rows, repr floats, "" for no tracking."""
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["k", "residual", "tracking_error", "elapsed_s"])
-            writer.writerows(
-                (k, repr(r), "" if te != te else repr(te), repr(el))
-                for k, r, te, el in zip(*self._columns)
-            )
+            f.write("k,residual,tracking_error,elapsed_s\r\n")
+            f.writelines(f"{k},{r!r},{'' if te != te else repr(te)},{el!r}\r\n"
+                         for k, r, te, el in zip(*self._columns))
 
     @classmethod
     def from_csv(cls, path, meta=None):
@@ -107,29 +111,48 @@ def _record(k, residual, tracking_error, elapsed):
 
 
 def iterate(state, step, measure, max_iter, stop_residual, meta):
-    """Run state = step(state) up to max_iter times, recording measure(state).
-
-    measure returns (residual, tracking error or None); a non-finite
-    residual is recorded as inf without tracking error. Stops below
-    stop_residual, or after a step whose residual is above 1e12 or not
-    finite (termination "diverged", flagged rather than raised so that
-    parameter searches can continue past unstable points).
-    """
-    trace = Trace(meta=dict(meta, termination="max_iter"))
-    t0 = time.perf_counter()
-    for k in range(max_iter + 1):
+    """iterate_blocks one record at a time: state = step(state) before each
+    record but the first, measure(state) -> (residual, tracking error)."""
+    def advance(k, _):
+        nonlocal state
         if k > 0:
             state = step(state)
         res, te = measure(state)
-        if not np.isfinite(res):
-            res, te = float("inf"), None
-        trace.append(k, res, te, time.perf_counter() - t0)
-        if k > 0 and res > DIVERGENCE_RESIDUAL:
-            trace.meta["termination"] = "diverged"
-            break
-        if res < stop_residual:
-            trace.meta["termination"] = "threshold"
-            break
+        return [res], [math.nan if te is None else te]
+
+    return iterate_blocks(advance, 1, max_iter, stop_residual, meta)
+
+
+def iterate_blocks(advance, rows, max_iter, stop_residual, meta):
+    """The run loop: advance(k, m <= rows) returns the lists (residuals,
+    tracking errors, NaN for none) of records k .. k + m - 1, record k being
+    the state after step k. A non-finite residual is recorded as inf without
+    tracking error. Stops at max_iter, below stop_residual, or after a step
+    whose residual is above 1e12 or not finite ("diverged", flagged rather
+    than raised so that parameter searches can continue past unstable
+    points), dropping the block's records past the stop. Elapsed times are
+    taken at the end of each block."""
+    trace = Trace(meta=dict(meta, termination="max_iter"))
+    t0 = time.perf_counter()
+    k = 0
+    while k <= max_iter:
+        residuals, errors = advance(k, min(rows, max_iter + 1 - k))
+        for i, res in enumerate(residuals):
+            if not math.isfinite(res):
+                res = residuals[i] = math.inf
+                errors[i] = math.nan
+            if k + i > 0 and res > DIVERGENCE_RESIDUAL:
+                end = "diverged"
+            elif res < stop_residual:
+                end = "threshold"
+            else:
+                continue
+            trace.meta["termination"] = end
+            trace.extend(k, residuals[:i + 1], errors[:i + 1],
+                         time.perf_counter() - t0)
+            return trace
+        trace.extend(k, residuals, errors, time.perf_counter() - t0)
+        k += len(residuals)
     return trace
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import grid_argmin, iterate, iterations_to_threshold
+from .analysis import (grid_argmin, iterate, iterate_blocks,
+                       iterations_to_threshold)
 from .objectives import average_residual
 from . import weights as wt
 
@@ -349,19 +350,70 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
 def _run(cfg, suite, x0, max_iter, stop_residual, digest):
     """The run itself; run() adds the cache around it."""
     x_star = suite.minimizer()
+    state = init_state(cfg, suite, x0)
+    meta = {"engine": cfg.kind, "config": digest}
+    if ENGINES[cfg.kind].step in _FUSED_SLOTS:
+        return iterate_blocks(*_fused_abm(state, cfg, suite, x_star),
+                              max_iter, stop_residual, meta)
     step = STEP_FUNCTIONS[cfg.kind]
     track = ENGINES[cfg.kind].tracking
 
     def measure(st):
         res = average_residual(st.x, x_star)
-        if track and np.isfinite(res):
+        if track and math.isfinite(res):
             return res, tracking_error(st, suite)
         return res, None
 
-    return iterate(
-        init_state(cfg, suite, x0), lambda st: step(st, cfg, suite), measure,
-        max_iter, stop_residual, {"engine": cfg.kind, "config": digest},
-    )
+    return iterate(state, lambda st: step(st, cfg, suite), measure,
+                   max_iter, stop_residual, meta)
+
+
+# Kinds stepping with abm_step on (A, B) = these slots run fused, in blocks of
+# <= BLOCK_ROWS steps and ~BLOCK_FLOATS floats of x: no abm_step raises.
+_FUSED_SLOTS = {abm_step: ("A", "B"), ds_tracking_step: ("W", "W")}
+BLOCK_ROWS, BLOCK_FLOATS = 64, 16384
+
+
+def _fused_abm(state, cfg, suite, x_star):
+    """(advance, rows) for analysis.iterate_blocks: abm_step's operations,
+    in its order, in place in (rows + 2, n, p) buffers of x, y and the
+    gradients, whose rows 0 and 1 are the two records before the block.
+    Blocks run under errstate: the steps past a divergence overflow."""
+    n, p = state.x.shape
+    rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
+    slots = _FUSED_SLOTS[ENGINES[cfg.kind].step]
+    a, b = (getattr(cfg, slot).entries for slot in slots)
+    X, Y, G = (np.empty((rows + 2, n, p)) for _ in range(3))
+    X[0], X[1], Y[1], G[1] = state.x_prev, state.x, state.y, state.grads
+    xs, ys, gs, tmp = list(X), list(Y), list(G), np.empty((n, p))
+    # n x p copies: the broadcasts' products, at half the cost
+    alphas, betas, x_star = (np.broadcast_to(v, (n, p)).copy() for v in
+                             (cfg.alphas[:, None], cfg.betas[:, None], x_star))
+
+    def advance(k, m):
+        lo = 1 if k == 0 else 2  # record 0 is not stepped to
+        hi = lo + m
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(2, hi):
+                x, y, x_new, y_new = xs[i - 1], ys[i - 1], xs[i], ys[i]
+                np.matmul(a, x, out=x_new)
+                np.multiply(alphas, y, out=tmp)
+                np.subtract(x_new, tmp, out=x_new)
+                np.subtract(x, xs[i - 2], out=tmp)
+                np.multiply(betas, tmp, out=tmp)
+                np.add(x_new, tmp, out=x_new)
+                suite.stacked_gradient(x_new, out=gs[i])
+                np.matmul(b, y, out=y_new)
+                np.add(y_new, gs[i], out=y_new)
+                np.subtract(y_new, gs[i - 1], out=y_new)
+            residuals = average_residual(X[lo:hi], x_star)
+            v = Y[lo:hi].sum(axis=1) - G[lo:hi].sum(axis=1)
+            errors = [math.sqrt(e.dot(e)) for e in v]  # tracking_error's
+        for buf in (X, Y, G):
+            buf[:2] = buf[hi - 2:hi]
+        return residuals.tolist(), errors
+
+    return advance, rows
 
 
 def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,

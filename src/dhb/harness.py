@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -18,29 +19,54 @@ class ConfigError(Exception):
     pass
 
 
-# section -> (required keys, optional keys); an objective's section is
-# its kind
+_GRID = "a non-empty list of numbers"
+_TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false",
+               str: "a string", dict: "an object", list: "a list"}
+# section -> (required keys, optional keys), each with the type of its
+# value; an objective's section is its kind
 _SCHEMA = {
-    "config": ({"graph", "run"}, {"objective", "engines", "consensus"}),
-    "graph": ({"n", "ring_degree", "extra_link_fraction", "directed", "seed"},
-              set()),
-    "quadratic": ({"kind", "p", "condition_number", "seed"}, set()),
-    "logistic": ({"kind", "m_i", "p", "reg", "seed"}, set()),
-    "engine": ({"kind"}, {"alpha", "beta", "tune"}),
-    "tune": ({"alpha_grid"}, {"beta_grid"}),
-    "run": ({"max_iter", "stop_residual", "seed", "out_dir"}, set()),
-    "consensus": ({"alpha_grid", "max_iter", "tol", "seed"}, {"beta_grid"}),
+    "config": ({"graph": dict, "run": dict},
+               {"objective": dict, "engines": list, "consensus": dict}),
+    "graph": ({"n": Integral, "ring_degree": Integral,
+               "extra_link_fraction": Real, "directed": bool,
+               "seed": Integral}, {}),
+    "quadratic": ({"kind": str, "p": Integral, "condition_number": Real,
+                   "seed": Integral}, {}),
+    "logistic": ({"kind": str, "m_i": Integral, "p": Integral, "reg": Real,
+                  "seed": Integral}, {}),
+    "engine": ({"kind": str}, {"alpha": Real, "beta": Real, "tune": dict}),
+    "tune": ({"alpha_grid": _GRID}, {"beta_grid": _GRID}),
+    "run": ({"max_iter": Integral, "stop_residual": Real, "seed": Integral,
+             "out_dir": str}, {}),
+    "consensus": ({"alpha_grid": _GRID, "max_iter": Integral, "tol": Real,
+                   "seed": Integral}, {"beta_grid": _GRID}),
 }
 
 
+def _has_type(value, kind):
+    if kind is _GRID:
+        return (isinstance(value, list) and len(value) > 0
+                and all(_has_type(v, Real) for v in value))
+    # a bool is an Integral and a Real to Python, and neither here
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
 def _check_keys(section, data, schema=None):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be an object, not {data!r}")
     required, optional = _SCHEMA[schema or section]
-    unknown = set(data) - required - optional
+    types = {**required, **optional}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
-    missing = required - set(data)
+    missing = set(required) - set(data)
     if missing:
         raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
+    for key, value in data.items():
+        if not _has_type(value, types[key]):
+            what = _TYPE_NAMES.get(types[key], types[key])
+            raise ConfigError(f"{section}.{key} must be {what}, not {value!r}")
 
 
 def parse_config(path):

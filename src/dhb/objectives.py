@@ -113,11 +113,14 @@ class ObjectiveSuite:
     def gradient(self, i, x):
         return self.locals[i].gradient(x)
 
-    def stacked_gradient(self, x_stack):
-        """Gradients of all agents at their own points; x_stack is n x p."""
+    def stacked_gradient(self, x_stack, out=None):
+        """Gradients of all agents at their own points (n x p), into out."""
         if self.kind == "quadratic":
-            return 2.0 * self._q_stack * x_stack + self._b_stack
-        return np.array([self.locals[i].gradient(x_stack[i]) for i in range(self.n)])
+            out = np.multiply(self._q2_stack, x_stack, out=out)
+            return np.add(out, self._b_stack, out=out)
+        out = np.empty(np.shape(x_stack)) if out is None else out
+        out[...] = [self.locals[i].gradient(x_stack[i]) for i in range(self.n)]
+        return out
 
     def global_value(self, x):
         return sum(f.value(x) for f in self.locals) / self.n
@@ -147,7 +150,7 @@ def quadratic_suite(q_diags, b_vecs):
     mu = 2.0 * q_sum.min() / n
     lip = 2.0 * q_sum.max() / n
     suite = ObjectiveSuite(locals_, p, mu=mu, lip=lip, kind="quadratic")
-    suite._q_stack = q_diags
+    suite._q2_stack = 2.0 * q_diags  # the 2.0 * q of every gradient
     suite._b_stack = b_vecs
     suite._q_sum = q_sum
     suite._b_sum = b_vecs.sum(axis=0)
@@ -208,8 +211,10 @@ def average_residual(x_stack, x_star):
     """(1/n) sum_i ||x_i - x*||_2, the plotted convergence metric."""
     d = np.atleast_2d(x_stack) - x_star
     # the sums, roots and division of mean(norm(d, axis=1)), bit for bit,
-    # without their dispatch overhead
-    return float(np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=1))) / len(d))
+    # without their dispatch overhead; an array for m x n x p records
+    res = (np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), axis=-1)
+           / d.shape[-2])
+    return res if res.ndim else float(res)
 
 
 def save_datasets(features, labels, directory):

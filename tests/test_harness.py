@@ -423,3 +423,59 @@ def test_shipped_consensus_config(tmp_path, capsys):
         # a run that stopped below tol before max_iter ended on "threshold"
         assert trace.records[-1].k < ccfg["max_iter"]
         assert trace.records[-1].residual < ccfg["tol"]
+
+
+def _set(cfg, path, value):
+    """cfg with the entry at `path` (keys and list indices) set to value;
+    an empty path replaces the whole config."""
+    if not path:
+        return value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path, value", [
+    (("graph",), 5),
+    (("objective",), ["quadratic"]),
+    (("run", "max_iter"), "50000"),
+    (("run", "max_iter"), 5e4),
+    (("run", "stop_residual"), None),
+    (("run", "out_dir"), 7),
+    (("graph", "n"), True),
+    (("graph", "directed"), 1),
+    (("graph", "extra_link_fraction"), "0.05"),
+    (("objective", "condition_number"), [100.0]),
+    (("engines",), {"kind": "abm"}),
+    (("engines", 0), "abm"),
+    (("engines", 0, "kind"), ["abm"]),
+    (("engines", 0, "alpha"), False),
+    (("engines", 0, "tune"), {"alpha_grid": []}),
+    (("engines", 0, "tune"), {"alpha_grid": 0.003}),
+    (("engines", 0, "tune"), {"alpha_grid": [0.003, "0.001"]}),
+    (("engines", 0, "tune"), {"alpha_grid": [0.003], "beta_grid": [True]}),
+    ((), ["graph", "run"]),
+])
+def test_cli_rejects_mistyped_config(tmp_path, capsys, path, value):
+    cfg = _set(json.loads((CONFIGS / "quickstart.json").read_text()), path,
+               value)
+    with pytest.raises(hs.ConfigError):
+        hs.validate_config(cfg)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_consensus_grid_entries_are_typed():
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    hs.validate_config(cfg)
+    for grid in ([], [0.1, None], "0.1"):
+        cfg["consensus"]["beta_grid"] = grid
+        with pytest.raises(hs.ConfigError, match="consensus.beta_grid"):
+            hs.validate_config(cfg)
