@@ -408,7 +408,7 @@ def _fused_abm(state, cfg, suite, x_star):
                 np.subtract(y_new, gs[i - 1], out=y_new)
             residuals = average_residual(X[lo:hi], x_star)
             v = Y[lo:hi].sum(axis=1) - G[lo:hi].sum(axis=1)
-            errors = [math.sqrt(e.dot(e)) for e in v]  # tracking_error's
+            errors = [math.sqrt(e.dot(e)) for e in v]  # as tracking_error
         for buf in (X, Y, G):
             buf[:2] = buf[hi - 2:hi]
         return residuals.tolist(), errors
