@@ -5,9 +5,10 @@ BENCH_<label>.json at the repository root.
     python3 scripts/bench_pairs.py --before ../parent --after . --label block_run
 
 `--before` and `--after` are two checkouts of the repository. For each
-workload, pair i runs `bench/run.py --trace 0 --seed i` in both, one after
-the other, the first of the two alternating from pair to pair so that host
-drift falls on both sides alike. The file holds every pair's end-to-end
+benchmark workload, pair i (0-9) runs `bench/run.py --trace 0 --seed i`,
+at the benchmark's own run length, in both, one after the other, the first
+of the two alternating from pair to pair so that host drift falls on both
+sides alike. The file holds every pair's end-to-end
 metrics, their medians, the share of pairs that `after` won, and the
 per-iteration cost of engine runs (`--micro`) in each checkout.
 """
@@ -23,6 +24,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("tuned_momentum", "large_ring", "consensus_grid")
+PAIRS = 10
 METRICS = {"wall_s": "lower", "setup_s": "lower",
            "agent_iters_per_s": "higher", "peak_rss_mb": "lower"}
 # label -> (kind, graph (n, ring degree, extra-link fraction, seed,
@@ -44,11 +47,11 @@ def commit(checkout):
     return out.stdout.strip() or None
 
 
-def bench_once(checkout, workload, seed, seconds):
+def bench_once(checkout, workload, seed):
     """The JSON line bench/run.py prints last."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
@@ -105,9 +108,6 @@ def main():
     parser.add_argument("--before", help="checkout of the parent commit")
     parser.add_argument("--after", help="checkout of the change")
     parser.add_argument("--label", help="names BENCH_<label>.json")
-    parser.add_argument("--pairs", default="tuned_momentum=10,large_ring=10,"
-                        "consensus_grid=10", help="workload=pairs,...")
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--micro", action="store_true",
                         help="print the per-iteration costs of the dhb on "
                              "PYTHONPATH and exit")
@@ -124,17 +124,15 @@ def main():
         "label": args.label,
         "commits": {side: commit(path) for side, path in sides.items()},
         "python": platform.python_version(), "numpy": np.__version__,
-        "nproc": len(os.sched_getaffinity(0)), "seconds": args.seconds,
+        "nproc": len(os.sched_getaffinity(0)),
         "workloads": {},
     }
-    for spec in args.pairs.split(","):
-        workload, pairs = spec.split("=")
+    for workload in WORKLOADS:
         runs = {"before": [], "after": []}
-        for i in range(int(pairs)):
+        for i in range(PAIRS):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
-                runs[side].append(bench_once(sides[side], workload, i,
-                                             args.seconds))
+                runs[side].append(bench_once(sides[side], workload, i))
             print(workload, i, {s: runs[s][-1]["wall_s"] for s in order},
                   flush=True)
         summary = {"all_correct": all(r["correct"] for rs in runs.values()

@@ -299,9 +299,12 @@ STEP_FUNCTIONS = {kind: spec.step for kind, spec in ENGINES.items()}
 
 def tracking_error(state, suite):
     """Norm of sum_i y_i - sum_i grad f_i(x_i); zero in exact arithmetic
-    for the gradient-tracking engines."""
-    v = state.y.sum(axis=0) - state.grads.sum(axis=0)
-    return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
+    for the gradient-tracking engines. A state whose y and grads are
+    m x n x p blocks of records gives the list of their m norms."""
+    v = state.y.sum(axis=-2) - state.grads.sum(axis=-2)
+    if v.ndim == 1:
+        return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
+    return [math.sqrt(e @ e) for e in v]
 
 
 def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
@@ -407,8 +410,8 @@ def _fused_abm(state, cfg, suite, x_star):
                 np.add(y_new, gs[i], out=y_new)
                 np.subtract(y_new, gs[i - 1], out=y_new)
             residuals = average_residual(X[lo:hi], x_star)
-            v = Y[lo:hi].sum(axis=1) - G[lo:hi].sum(axis=1)
-            errors = [math.sqrt(e.dot(e)) for e in v]  # as tracking_error
+            errors = tracking_error(
+                AlgorithmState(X[lo:hi], y=Y[lo:hi], grads=G[lo:hi]), suite)
         for buf in (X, Y, G):
             buf[:2] = buf[hi - 2:hi]
         return residuals.tolist(), errors

@@ -20,6 +20,7 @@ class ConfigError(Exception):
 
 
 _GRID = "a non-empty list of numbers"
+_PER_AGENT = "a number or a list of one number per agent"
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 # section -> (required keys, optional keys), each with the type of its
@@ -34,7 +35,8 @@ _SCHEMA = {
                    "seed": Integral}, {}),
     "logistic": ({"kind": str, "m_i": Integral, "p": Integral, "reg": Real,
                   "seed": Integral}, {}),
-    "engine": ({"kind": str}, {"alpha": Real, "beta": Real, "tune": dict}),
+    "engine": ({"kind": str}, {"alpha": _PER_AGENT, "beta": _PER_AGENT,
+                               "tune": dict}),
     "tune": ({"alpha_grid": _GRID}, {"beta_grid": _GRID}),
     "run": ({"max_iter": Integral, "stop_residual": Real, "seed": Integral,
              "out_dir": str}, {}),
@@ -44,6 +46,8 @@ _SCHEMA = {
 
 
 def _has_type(value, kind):
+    if kind is _PER_AGENT:
+        return _has_type(value, Real) or _has_type(value, _GRID)
     if kind is _GRID:
         return (isinstance(value, list) and len(value) > 0
                 and all(_has_type(v, Real) for v in value))
@@ -78,6 +82,7 @@ def parse_config(path):
 def validate_config(data):
     _check_keys("config", data)
     _check_keys("graph", data["graph"])
+    n = data["graph"]["n"]
     if "objective" in data:
         kind = data["objective"].get("kind")
         if kind not in ("quadratic", "logistic"):
@@ -85,6 +90,10 @@ def validate_config(data):
         _check_keys("objective", data["objective"], kind)
     for i, e in enumerate(data.get("engines", [])):
         _check_keys(f"engines[{i}]", e, "engine")
+        for key in ("alpha", "beta"):
+            if isinstance(e.get(key), list) and len(e[key]) != n:
+                raise ConfigError(f"engines[{i}].{key} must have one entry "
+                                  f"per agent ({n}), not {len(e[key])}")
         if e["kind"] not in eng.ENGINE_WEIGHTS:
             raise ConfigError(f"unknown engine kind {e['kind']!r}")
         if "tune" in e:

@@ -452,6 +452,9 @@ def _set(cfg, path, value):
     (("engines", 0), "abm"),
     (("engines", 0, "kind"), ["abm"]),
     (("engines", 0, "alpha"), False),
+    (("engines", 0, "alpha"), [0.003] * 19),
+    (("engines", 0, "beta"), [0.3] * 21),
+    (("engines", 0, "beta"), [0.3] * 19 + ["0.3"]),
     (("engines", 0, "tune"), {"alpha_grid": []}),
     (("engines", 0, "tune"), {"alpha_grid": 0.003}),
     (("engines", 0, "tune"), {"alpha_grid": [0.003, "0.001"]}),
@@ -479,3 +482,19 @@ def test_consensus_grid_entries_are_typed():
         cfg["consensus"]["beta_grid"] = grid
         with pytest.raises(hs.ConfigError, match="consensus.beta_grid"):
             hs.validate_config(cfg)
+
+
+def test_cli_runs_per_agent_steps_and_momenta(tmp_path, capsys):
+    alphas = [0.02 + 0.002 * i for i in range(8)]
+    betas = [0.1 * (i % 4) for i in range(8)]
+    cfg = base_config(tmp_path, engines=[
+        {"kind": "abm", "alpha": alphas, "beta": betas}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert "abm:" in capsys.readouterr().out
+    with open(tmp_path / "out" / "summary.csv") as f:
+        (row,) = csv.DictReader(f)
+    assert float(row["alpha"]) == max(alphas)
+    assert float(row["beta"]) == max(betas)
+    assert row["termination"] == "threshold"
