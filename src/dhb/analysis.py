@@ -125,13 +125,12 @@ def iterate(state, step, measure, max_iter, stop_residual, meta):
 
 def iterate_blocks(advance, rows, max_iter, stop_residual, meta):
     """The run loop: advance(k, m <= rows) returns the lists (residuals,
-    tracking errors, NaN for none) of records k .. k + m - 1, record k being
-    the state after step k. A non-finite residual is recorded as inf without
+    tracking errors, NaN for none) of records k .. k + m - 1, record k the
+    state after step k; a non-finite residual is recorded as inf without
     tracking error. Stops at max_iter, below stop_residual, or after a step
-    whose residual is above 1e12 or not finite ("diverged", flagged rather
-    than raised so that parameter searches can continue past unstable
-    points), dropping the block's records past the stop. Elapsed times are
-    taken at the end of each block."""
+    whose residual is above 1e12 or not finite ("diverged", flagged so that
+    parameter searches go on past unstable points); records past the stop
+    are dropped. Elapsed times are taken at the end of each block."""
     trace = Trace(meta=dict(meta, termination="max_iter"))
     t0 = time.perf_counter()
     k = 0

@@ -371,10 +371,9 @@ def _run(cfg, suite, x0, max_iter, stop_residual, digest):
                    max_iter, stop_residual, meta)
 
 
-# Kinds stepping with abm_step on (A, B) = these slots run fused, in blocks of
-# <= BLOCK_ROWS steps and ~BLOCK_FLOATS floats of x: no abm_step raises.
+# Kinds stepping with abm_step run fused on (A, B) = these slots: none raises
 _FUSED_SLOTS = {abm_step: ("A", "B"), ds_tracking_step: ("W", "W")}
-BLOCK_ROWS, BLOCK_FLOATS = 64, 16384
+BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
 
 
 def _fused_abm(state, cfg, suite, x_star):
