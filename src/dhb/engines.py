@@ -52,6 +52,10 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+# the stochasticity of the matrix in each weight slot
+_SLOT_KINDS = {"A": wt.ROW, "B": wt.COLUMN, "W": wt.DOUBLY}
+
+
 def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     if kind not in ENGINES:
         raise EngineError(f"unknown engine kind {kind!r}")
@@ -66,16 +70,15 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
         raise EngineError(f"{kind} requires an identical scalar step-size")
     if not spec.momentum:
         betas = np.zeros(n)  # so ab is abm, and gd is heavy_ball, at beta 0
+    matrices = {"A": A, "B": B, "W": W}
     for slot in spec.weights:
-        if slot == "A" and (A is None or A.kind != wt.ROW):
-            raise EngineError(f"{kind} needs a row-stochastic matrix A")
-        if slot == "B" and (B is None or B.kind != wt.COLUMN):
-            raise EngineError(f"{kind} needs a column-stochastic matrix B")
-        if slot == "W":
-            if W is None or W.kind != wt.DOUBLY:
-                raise EngineError(f"{kind} needs a doubly-stochastic matrix W")
-            if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
-                raise EngineError("extra requires a symmetric W")
+        if getattr(matrices[slot], "kind", None) != _SLOT_KINDS[slot]:
+            raise EngineError(f"{kind} needs a {_SLOT_KINDS[slot]}-stochastic "
+                              f"matrix {slot}")
+    if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
+        raise EngineError("extra requires a symmetric W")
+    if kind == "ds_tracking":
+        A = B = W  # DIGing / Aug-DGM is ab on (W, W)
     W_tilde = (np.eye(n) + W.entries) / 2.0 if kind == "extra" else None
     return EngineConfig(kind, alphas, betas, A=A, B=B, W=W, W_tilde=W_tilde)
 
@@ -139,14 +142,9 @@ def abm_step(state, cfg, suite):
     return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new)
 
 
-# ab is abm with beta = 0, which make_config fixes for it
-ab_step = abm_step
-
-
-def ds_tracking_step(state, cfg, suite):
-    """Doubly-stochastic gradient tracking (Aug-DGM / DIGing updates): ab
-    with W in both weight slots."""
-    return abm_step(state, replace(cfg, A=cfg.W, B=cfg.W), suite)
+# ab is abm with beta = 0, and ds_tracking is ab on (A, B) = (W, W); make_config
+# fixes both
+ab_step = ds_tracking_step = abm_step
 
 
 def _two_history_step(state, cfg, suite, first, current, previous):
@@ -279,7 +277,7 @@ class EngineSpec:
 ENGINES = {
     "abm": EngineSpec(abm_step, ("A", "B"), tracking=True, momentum=True),
     "ab": EngineSpec(abm_step, ("A", "B"), tracking=True),
-    "ds_tracking": EngineSpec(ds_tracking_step, ("W",), tracking=True),
+    "ds_tracking": EngineSpec(abm_step, ("W",), tracking=True),
     "extra": EngineSpec(extra_step, ("W",), scalar_alpha=True),
     "ab_extra": EngineSpec(ab_extra_form_step, ("A", "B"), scalar_alpha=True),
     "addopt": EngineSpec(addopt_step, ("B",)),
@@ -326,8 +324,8 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
 
     Stops at max_iter, below stop_residual, or on divergence (see
     analysis.iterate). `cache` is a dict holding the runs of one suite
-    (None: a fresh one): a run whose step function, tracking flag, alphas,
-    betas, weights, x0, max_iter and stop_residual are already in it is not
+    (None: a fresh one): a run whose step function, alphas, betas,
+    weights, x0, max_iter and stop_residual are already in it is not
     computed again, and comes back as a trace sharing the cached records
     with its own meta (`cached=True`). Kinds that share a step share runs:
     ab and abm, gd and heavy_ball, since make_config zeroes beta for the
@@ -335,10 +333,9 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     """
     cache = {} if cache is None else cache
     digest = cfg.digest()
-    spec = ENGINES[cfg.kind]
     # everything the trajectory depends on, besides the suite
     x0 = np.asarray(x0, dtype=float)
-    key = (spec.step, spec.tracking, digest, x0.shape, _digest(x0),
+    key = (ENGINES[cfg.kind].step, digest, x0.shape, _digest(x0),
            int(max_iter), float(stop_residual))
     hit = cache.get(key)
     if hit is None:
@@ -355,24 +352,15 @@ def _run(cfg, suite, x0, max_iter, stop_residual, digest):
     x_star = suite.minimizer()
     state = init_state(cfg, suite, x0)
     meta = {"engine": cfg.kind, "config": digest}
-    if ENGINES[cfg.kind].step in _FUSED_SLOTS:
+    if ENGINES[cfg.kind].step is abm_step:  # it cannot raise: step ahead
         return iterate_blocks(*_fused_abm(state, cfg, suite, x_star),
                               max_iter, stop_residual, meta)
     step = STEP_FUNCTIONS[cfg.kind]
-    track = ENGINES[cfg.kind].tracking
-
-    def measure(st):
-        res = average_residual(st.x, x_star)
-        if track and math.isfinite(res):
-            return res, tracking_error(st, suite)
-        return res, None
-
-    return iterate(state, lambda st: step(st, cfg, suite), measure,
+    return iterate(state, lambda st: step(st, cfg, suite),
+                   lambda st: (average_residual(st.x, x_star), None),
                    max_iter, stop_residual, meta)
 
 
-# Kinds stepping with abm_step run fused on (A, B) = these slots: none raises
-_FUSED_SLOTS = {abm_step: ("A", "B"), ds_tracking_step: ("W", "W")}
 BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
 
 
@@ -383,8 +371,7 @@ def _fused_abm(state, cfg, suite, x_star):
     Blocks run under errstate: the steps past a divergence overflow."""
     n, p = state.x.shape
     rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
-    slots = _FUSED_SLOTS[ENGINES[cfg.kind].step]
-    a, b = (getattr(cfg, slot).entries for slot in slots)
+    a, b = cfg.A.entries, cfg.B.entries
     X, Y, G = (np.empty((rows + 2, n, p)) for _ in range(3))
     X[0], X[1], Y[1], G[1] = state.x_prev, state.x, state.y, state.grads
     xs, ys, gs, tmp = list(X), list(Y), list(G), np.empty((n, p))

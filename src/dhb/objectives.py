@@ -86,18 +86,17 @@ class ObjectiveSuite:
 
     mu and lip are strong-convexity/smoothness constants for F; for
     quadratic suites they are exact (extreme eigenvalues of the summed
-    diagonal), otherwise they default to the averages of the per-agent
+    diagonal), otherwise lip defaults to the average of the per-agent
     constants. condition_number = lip / mu.
     """
 
-    def __init__(self, locals_, p, mu=None, lip=None, kind="generic"):
+    def __init__(self, locals_, p, mu, kind, lip=None):
         self.locals = list(locals_)
         self.n = len(self.locals)
         self.p = p
         self.kind = kind
-        self.mu_i = np.array([f.mu for f in self.locals])
         self.l_i = np.array([f.lip for f in self.locals])
-        self.mu = float(self.mu_i.mean()) if mu is None else float(mu)
+        self.mu = float(mu)
         self.lip = float(self.l_i.mean()) if lip is None else float(lip)
         self.l_bar = float(self.l_i.max())
         if self.mu <= 0:
@@ -106,9 +105,6 @@ class ObjectiveSuite:
             raise ObjectiveError("mu must not exceed the smoothness constant")
         self.condition_number = self.lip / self.mu
         self._minimizer = None
-
-    def value(self, i, x):
-        return self.locals[i].value(x)
 
     def gradient(self, i, x):
         return self.locals[i].gradient(x)
