@@ -9,11 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DhbError
+
 
 DIVERGENCE_RESIDUAL = 1e12
 
 
-class AnalysisError(Exception):
+class AnalysisError(DhbError):
     pass
 
 

@@ -4,11 +4,9 @@ import argparse
 import json
 import sys
 
-from . import engines as eng
 from . import graph as gr
 from . import harness
-from .objectives import ObjectiveError
-from .weights import WeightError
+from .errors import DhbError
 
 
 def main(argv=None):
@@ -23,9 +21,10 @@ def main(argv=None):
                        help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the run seed")
+                       help="override the run seed (consensus: the "
+                       "consensus seed)")
         p.add_argument("--n", type=int, default=None,
-                       help="override the agent count")
+                       help="override the agent count (graph.n)")
 
     add_common(sub.add_parser("run", help="run one experiment config"))
     p_sweep = sub.add_parser("sweep", help="condition-number sweep")
@@ -46,11 +45,9 @@ def main(argv=None):
     # invalid input from any layer is one line on stderr and exit code 2
     try:
         if args.verb != "graph-gen":
-            cfg = harness.parse_config(args.config)
-            if args.n is not None:
-                cfg["graph"]["n"] = args.n
-            if args.seed is not None:
-                cfg["run"]["seed"] = args.seed
+            seeded = "consensus" if args.verb == "consensus" else "run"
+            cfg = harness.parse_config(args.config, [
+                ("graph", "n", args.n), (seeded, "seed", args.seed)])
         if args.verb == "run":
             _, summary = harness.run_experiment(cfg, out_dir=args.out)
             for row in summary:
@@ -62,7 +59,12 @@ def main(argv=None):
                 print("error: every engine diverged", file=sys.stderr)
                 return 2
         elif args.verb == "sweep":
-            qs = [float(q) for q in args.condition_numbers.split(",")]
+            try:
+                qs = [float(q) for q in args.condition_numbers.split(",")]
+            except ValueError:
+                raise harness.ConfigError(
+                    "--condition-numbers must be a comma-separated list of "
+                    f"numbers, not {args.condition_numbers!r}") from None
             rows = harness.run_condition_sweep(cfg, qs, out_dir=args.out)
             for row in rows:
                 print(f"Q={row['condition_number']:g} {row['engine']}: "
@@ -86,8 +88,7 @@ def main(argv=None):
             )
             gr.save_edge_list(g, args.out)
             print(f"wrote {args.out}: n={g.n}, {len(g.edges())} edges")
-    except (harness.ConfigError, gr.GraphError, WeightError, ObjectiveError,
-            eng.EngineError, OSError, json.JSONDecodeError) as exc:
+    except (DhbError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

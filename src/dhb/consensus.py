@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import grid_argmin, iterate
+from .errors import DhbError
 from .objectives import average_residual
 from . import weights as wt
 
 
-class ConsensusError(Exception):
+class ConsensusError(DhbError):
     pass
 
 

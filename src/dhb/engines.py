@@ -13,13 +13,14 @@ import numpy as np
 
 from .analysis import (grid_argmin, iterate, iterate_blocks,
                        iterations_to_threshold)
+from .errors import DhbError
 from .objectives import average_residual
 from . import weights as wt
 
 EIGEN_ESTIMATE_FLOOR = 1e3 * np.finfo(float).tiny
 
 
-class EngineError(Exception):
+class EngineError(DhbError):
     pass
 
 

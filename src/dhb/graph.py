@@ -4,12 +4,14 @@ from collections import deque
 
 import numpy as np
 
+from .errors import DhbError
+
 # Attempts to redraw the random extra links before declaring the
 # requested parameters too sparse for strong connectivity.
 RETRY_BUDGET = 50
 
 
-class GraphError(Exception):
+class GraphError(DhbError):
     pass
 
 

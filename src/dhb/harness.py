@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 from numbers import Integral, Real
 
@@ -12,10 +13,11 @@ from . import engines as eng
 from . import graph as gr
 from . import weights as wt
 from .analysis import AnalysisError, fit_linear_rate, iterations_to_threshold
+from .errors import DhbError
 from .objectives import quadratic_suite, logistic_suite, synthesize_logistic_data
 
 
-class ConfigError(Exception):
+class ConfigError(DhbError):
     pass
 
 
@@ -44,6 +46,11 @@ _SCHEMA = {
                    "seed": Integral}, {"beta_grid": _GRID}),
 }
 
+# the least value of each key with a range, in every section that has it;
+# the values must also be finite
+_MINIMUM = {"seed": 0, "p": 1, "m_i": 1, "max_iter": 0, "stop_residual": 0,
+            "tol": 0, "condition_number": 1}
+
 
 def _has_type(value, kind):
     if kind is _PER_AGENT:
@@ -71,11 +78,27 @@ def _check_keys(section, data, schema=None):
         if not _has_type(value, types[key]):
             what = _TYPE_NAMES.get(types[key], types[key])
             raise ConfigError(f"{section}.{key} must be {what}, not {value!r}")
+        if key in _MINIMUM:
+            check_minimum(f"{section}.{key}", value, _MINIMUM[key])
 
 
-def parse_config(path):
+def check_minimum(name, value, low):
+    """ConfigError unless low <= value < inf (NaN is neither)."""
+    if not low <= value < math.inf:
+        raise ConfigError(f"{name} must be a finite number >= {low}, "
+                          f"not {value!r}")
+
+
+def parse_config(path, overrides=()):
+    """The config file with each (section, key, value) of `overrides` set,
+    then validated; a None value, or a section that is not an object, is
+    left to validation."""
     with open(path) as f:
         data = json.load(f)
+    for section, key, value in overrides:
+        if (value is not None and isinstance(data, dict)
+                and isinstance(data.get(section), dict)):
+            data[section][key] = value
     return validate_config(data)
 
 
@@ -285,6 +308,8 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
             "a condition-number sweep needs a quadratic objective, "
             f"not {ocfg['kind']!r}"
         )
+    for q in condition_numbers:
+        check_minimum("a condition number", q, 1)
     out_dir = _out_dir(cfg, out_dir)
 
     rows = []

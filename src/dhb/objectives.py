@@ -5,8 +5,10 @@ import os
 
 import numpy as np
 
+from .errors import DhbError
 
-class ObjectiveError(Exception):
+
+class ObjectiveError(DhbError):
     pass
 
 

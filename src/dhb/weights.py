@@ -4,6 +4,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DhbError
 from . import graph as gr
 
 ROW = "row"
@@ -14,7 +15,7 @@ DOUBLY = "doubly"
 STOCHASTIC_TOL = 1e-12
 
 
-class WeightError(Exception):
+class WeightError(DhbError):
     pass
 
 

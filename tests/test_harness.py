@@ -425,6 +425,10 @@ def test_shipped_consensus_config(tmp_path, capsys):
         assert trace.records[-1].residual < ccfg["tol"]
 
 
+# a valid consensus section, for the range cases of its keys
+CONSENSUS = {"alpha_grid": [0.2], "max_iter": 10, "tol": 0.0, "seed": 0}
+
+
 def _set(cfg, path, value):
     """cfg with the entry at `path` (keys and list indices) set to value;
     an empty path replaces the whole config."""
@@ -460,6 +464,22 @@ def _set(cfg, path, value):
     (("engines", 0, "tune"), {"alpha_grid": [0.003, "0.001"]}),
     (("engines", 0, "tune"), {"alpha_grid": [0.003], "beta_grid": [True]}),
     ((), ["graph", "run"]),
+    (("graph", "seed"), -1),
+    (("objective", "seed"), -1),
+    (("run", "seed"), -1),
+    (("consensus",), dict(CONSENSUS, seed=-1)),
+    (("objective", "p"), 0),
+    (("objective",), {"kind": "logistic", "m_i": 0, "p": 2, "reg": 0.1,
+                      "seed": 5}),
+    (("run", "max_iter"), -1),
+    (("consensus",), dict(CONSENSUS, max_iter=-1)),
+    (("run", "stop_residual"), -1.0),
+    (("run", "stop_residual"), float("nan")),
+    (("consensus",), dict(CONSENSUS, tol=-1e-11)),
+    (("consensus",), dict(CONSENSUS, tol=float("nan"))),
+    (("objective", "condition_number"), 0.5),
+    (("objective", "condition_number"), float("nan")),
+    (("objective", "condition_number"), float("inf")),
 ])
 def test_cli_rejects_mistyped_config(tmp_path, capsys, path, value):
     cfg = _set(json.loads((CONFIGS / "quickstart.json").read_text()), path,
@@ -498,3 +518,77 @@ def test_cli_runs_per_agent_steps_and_momenta(tmp_path, capsys):
     assert float(row["alpha"]) == max(alphas)
     assert float(row["beta"]) == max(betas)
     assert row["termination"] == "threshold"
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    return captured
+
+
+def test_every_input_error_has_one_base():
+    from dhb import analysis, consensus, graph, objectives, weights
+    from dhb.errors import DhbError
+    for error in (hs.ConfigError, graph.GraphError, weights.WeightError,
+                  objectives.ObjectiveError, eng.EngineError,
+                  consensus.ConsensusError, analysis.AnalysisError):
+        assert issubclass(error, DhbError)
+
+
+def test_cli_reports_consensus_error(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    cfg["consensus"]["alpha_grid"] = [-0.1, 0.2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["consensus", "--config", str(path), "--out",
+                     str(out)]) == 2
+    assert "nonnegative" in assert_one_error_line(capsys).err
+
+
+def test_cli_n_override_is_validated(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][0]["alpha"] = [0.003] * cfg["graph"]["n"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["run", "--config", str(path), "--out", str(out)]
+    assert cli.main(args + ["--n", "10"]) == 2
+    assert "one entry per agent (10)" in assert_one_error_line(capsys).err
+    assert cli.main(args + ["--seed", "-1"]) == 2
+    assert "run.seed" in assert_one_error_line(capsys).err
+    assert not out.exists()
+
+
+def test_cli_consensus_seed_sets_the_consensus_seed(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    cfg["consensus"].update(alpha_grid=[0.15, 0.2], beta_grid=[0.0, 0.4])
+
+    def residuals(out, seed, *flags):
+        cfg["consensus"]["seed"] = seed
+        path = tmp_path / f"cfg_{seed}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["consensus", "--config", str(path), "--out",
+                         str(tmp_path / out), *flags]) == 0
+        return {form: Trace.from_csv(tmp_path / out /
+                                     f"trace_consensus_{form}.csv").residuals()
+                for form in ("abmc", "surplus")}
+
+    flagged = residuals("flagged", 31, "--seed", "5")
+    seeded = residuals("seeded", 5)
+    default = residuals("default", 31)
+    for form in ("abmc", "surplus"):
+        assert np.array_equal(flagged[form], seeded[form])
+        assert not np.array_equal(flagged[form], default[form])
+
+
+@pytest.mark.parametrize("qs", ["abc", "", "10,abc", "0", "0.5", "nan",
+                                "inf"])
+def test_cli_sweep_rejects_bad_condition_numbers(tmp_path, capsys, qs):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(tmp_path)))
+    assert cli.main(["sweep", "--config", str(path),
+                     "--condition-numbers", qs]) == 2
+    assert assert_one_error_line(capsys).out == ""
+    assert not (tmp_path / "out" / "sweep_summary.csv").exists()
