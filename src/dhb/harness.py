@@ -79,10 +79,10 @@ def _check_keys(section, data, schema=None):
             what = _TYPE_NAMES.get(types[key], types[key])
             raise ConfigError(f"{section}.{key} must be {what}, not {value!r}")
         if key in _MINIMUM:
-            check_minimum(f"{section}.{key}", value, _MINIMUM[key])
+            _check_minimum(f"{section}.{key}", value, _MINIMUM[key])
 
 
-def check_minimum(name, value, low):
+def _check_minimum(name, value, low):
     """ConfigError unless low <= value < inf (NaN is neither)."""
     if not low <= value < math.inf:
         raise ConfigError(f"{name} must be a finite number >= {low}, "
@@ -309,7 +309,7 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
             f"not {ocfg['kind']!r}"
         )
     for q in condition_numbers:
-        check_minimum("a condition number", q, 1)
+        _check_minimum("a condition number", q, 1)
     out_dir = _out_dir(cfg, out_dir)
 
     rows = []
