@@ -65,6 +65,8 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     betas = np.broadcast_to(np.asarray(beta, dtype=float), (n,)).copy()
     if np.any(alphas < 0) or np.any(betas < 0):
         raise EngineError("step-sizes and momenta must be nonnegative")
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
+        raise EngineError("step-sizes and momenta must be finite")
     if not np.any(alphas > 0):
         raise EngineError("at least one step-size must be positive")
     if spec.scalar_alpha and np.ptp(alphas) != 0:

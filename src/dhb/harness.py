@@ -230,8 +230,10 @@ def _resolve_engine(ecfg, run_cfg, suite, mats, x0, cache):
         else:
             raise ConfigError(f"engine {kind!r} needs alpha or a tune grid")
     engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
-    # report the beta the engine runs with; make_config zeroes it for ab, gd
-    return alpha, float(np.max(engine_cfg.betas)), engine_cfg, x0
+    # report the largest alpha and beta the engine runs with; make_config
+    # zeroes beta for ab, gd
+    return (float(np.max(engine_cfg.alphas)), float(np.max(engine_cfg.betas)),
+            engine_cfg, x0)
 
 
 def _run_engines(cfg, suite, mats, x0):
@@ -283,7 +285,7 @@ def run_experiment(cfg, out_dir=None):
             rate = float("nan")
         summary.append({
             "engine": kind,
-            "alpha": float(np.max(np.atleast_1d(alpha))),
+            "alpha": alpha,
             "beta": beta,
             "iterations_to_threshold": "" if iters is None else iters,
             "fitted_rate": rate,

@@ -1,8 +1,5 @@
 """Local objective families, their constants, and the global-minimizer oracle."""
 
-import csv
-import os
-
 import numpy as np
 
 from .errors import DhbError
@@ -47,8 +44,8 @@ class LogisticLocal:
             raise ObjectiveError("features must be a 2-d sample matrix")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ObjectiveError("labels must be in {-1, +1}")
-        if reg <= 0:
-            raise ObjectiveError("regularization must be positive")
+        if not 0 < reg < np.inf:
+            raise ObjectiveError("regularization must be positive and finite")
         m = features.shape[0]
         # augmented samples (c_j, 1) so the intercept rides along
         self.aug = np.hstack([features, np.ones((m, 1))])
@@ -213,32 +210,3 @@ def average_residual(x_stack, x_star):
     res = (np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), axis=-1)
            / d.shape[-2])
     return res if res.ndim else float(res)
-
-
-def save_datasets(features, labels, directory):
-    """One CSV per agent: sample rows with the label in the last column."""
-    os.makedirs(directory, exist_ok=True)
-    for i, (f, y) in enumerate(zip(features, labels)):
-        path = os.path.join(directory, f"agent_{i + 1}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row, label in zip(f, y):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
-
-
-def load_datasets(directory):
-    files = sorted(
-        (f for f in os.listdir(directory)
-         if f.startswith("agent_") and f.endswith(".csv")),
-        key=lambda name: int(name[len("agent_"):-len(".csv")]),
-    )
-    features, labels = [], []
-    for name in files:
-        rows = []
-        with open(os.path.join(directory, name), newline="") as fh:
-            for row in csv.reader(fh):
-                rows.append([float(v) for v in row])
-        arr = np.array(rows)
-        features.append(arr[:, :-1])
-        labels.append(arr[:, -1])
-    return features, labels

@@ -5,6 +5,7 @@ from dhb import consensus as cs
 from dhb import graph as gr
 from dhb import weights as wt
 from dhb.analysis import fit_linear_rate
+from dhb.objectives import average_residual
 
 
 def make_matrices(n, seed=0):
@@ -199,12 +200,37 @@ def test_vector_valued_consensus():
     alpha, beta, radius, _ = cs.grid_search_params(
         A, B, np.linspace(0.05, 0.6, 12), np.linspace(0.0, 0.4, 9), "abmc"
     )
-    sys_ = cs.abmc_build(A, B, alpha, beta, p=3)
-    assert sys_.H.shape == (36, 36)
+    sys_ = cs.abmc_build(A, B, alpha, beta)
+    assert sys_.H.shape == (12, 12)
     rng = np.random.default_rng(12)
     values = rng.standard_normal((4, 3))
     trace = cs.consensus_run(sys_, values, 5000, tol=1e-10)
     assert trace.meta["termination"] == "threshold"
+
+
+@pytest.mark.parametrize("form", ["abmc", "surplus"])
+def test_vector_run_matches_scalar_runs_per_coordinate(form):
+    # one (n, p) run steps the p coordinates as the columns of one state;
+    # gemm and gemv sum in different orders, so the match is not bitwise
+    A, B = make_matrices(5, seed=16)
+    if form == "abmc":
+        sys_ = cs.abmc_build(A, B, 0.2, 0.1)
+    else:
+        sys_ = cs.surplus_build(A, B, 0.2)
+    values = np.random.default_rng(16).standard_normal((5, 3))
+    state = cs.initial_stack(sys_, values)
+    assert state.shape == (sys_.H.shape[0], 3)
+    columns = [cs.initial_stack(sys_, values[:, d]) for d in range(3)]
+    residuals = cs.consensus_run(sys_, values, 200).residuals()
+    assert len(residuals) == 201
+    for k in range(201):
+        if k > 0:
+            state = sys_.H @ state
+            columns = [sys_.H @ c for c in columns]
+        stacked = np.hstack(columns)
+        assert np.max(np.abs(state - stacked)) < 1e-12
+        assert abs(residuals[k] - average_residual(stacked[:5],
+                                                   values.mean(axis=0))) < 1e-12
 
 
 def test_radius_grid_csv_round_trip(tmp_path):
@@ -220,13 +246,13 @@ def test_radius_grid_csv_round_trip(tmp_path):
 
 def test_surplus_is_leading_block_of_zero_momentum_system():
     A, B = make_matrices(5, seed=14)
+    surplus = cs.surplus_build(A, B, 0.3)
+    momentum = cs.abmc_build(A, B, 0.3, 0.0)
+    m = 2 * 5
+    assert np.array_equal(surplus.H, momentum.H[:m, :m])
+    assert np.array_equal(surplus.H_inf, momentum.H_inf[:m, :m])
     for p in (1, 2):
-        surplus = cs.surplus_build(A, B, 0.3, p)
-        momentum = cs.abmc_build(A, B, 0.3, 0.0, p)
-        m = 2 * 5 * p
-        assert np.array_equal(surplus.H, momentum.H[:m, :m])
-        assert np.array_equal(surplus.H_inf, momentum.H_inf[:m, :m])
-        values = np.arange(5.0 * p)
+        values = np.arange(5.0 * p).reshape(5, p)
         assert np.array_equal(cs.initial_stack(surplus, values),
                               cs.initial_stack(momentum, values)[:m])
 

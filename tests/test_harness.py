@@ -547,6 +547,18 @@ def test_cli_reports_consensus_error(tmp_path, capsys):
     assert "nonnegative" in assert_one_error_line(capsys).err
 
 
+@pytest.mark.parametrize("grid, value", [("alpha_grid", float("nan")),
+                                         ("beta_grid", float("inf"))])
+def test_cli_reports_non_finite_consensus_grid(tmp_path, capsys, grid, value):
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    cfg["consensus"][grid] = [value, 0.2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["consensus", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "finite" in assert_one_error_line(capsys).err
+
+
 def test_cli_n_override_is_validated(tmp_path, capsys):
     cfg = json.loads((CONFIGS / "quickstart.json").read_text())
     cfg["engines"][0]["alpha"] = [0.003] * cfg["graph"]["n"]
@@ -592,3 +604,44 @@ def test_cli_sweep_rejects_bad_condition_numbers(tmp_path, capsys, qs):
                      "--condition-numbers", qs]) == 2
     assert assert_one_error_line(capsys).out == ""
     assert not (tmp_path / "out" / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", [float("nan")] + [0.003] * 19),
+    ("beta", float("inf")),
+])
+def test_cli_rejects_non_finite_steps_before_any_run(tmp_path, capsys,
+                                                     monkeypatch, key, value):
+    runs = log_kinds(monkeypatch, "run")
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][0][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "finite" in assert_one_error_line(capsys).err
+    assert runs == []
+    assert not list(out.glob("trace_*.csv"))
+
+
+def test_cli_rejects_non_finite_logistic_reg(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["objective"] = {"kind": "logistic", "m_i": 5, "p": 2,
+                        "reg": float("nan"), "seed": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    # pytest turns a RuntimeWarning into a failure
+    assert cli.main(args) == 2
+    assert "regularization" in assert_one_error_line(capsys).err
+
+
+def test_sweep_reports_the_largest_per_agent_step(tmp_path):
+    alphas = [0.02 + 0.002 * i for i in range(8)]
+    cfg = base_config(tmp_path, engines=[
+        {"kind": "abm", "alpha": alphas, "beta": 0.2}])
+    rows = hs.run_condition_sweep(cfg, [9.0])
+    assert rows[0]["alpha"] == max(alphas)
+    with open(tmp_path / "out" / "sweep_summary.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert float(row["alpha"]) == max(alphas)

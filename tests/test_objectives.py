@@ -148,17 +148,6 @@ def test_suite_constant_ordering():
     assert suite.l_bar == suite.l_i.max()
 
 
-def test_dataset_csv_round_trip(tmp_path):
-    features, labels = obj.synthesize_logistic_data(12, 4, 3, seed=21)
-    obj.save_datasets(features, labels, tmp_path)
-    f2, y2 = obj.load_datasets(tmp_path)
-    assert len(f2) == 12
-    for a, b in zip(features, f2):
-        assert np.array_equal(a, b)
-    for a, b in zip(labels, y2):
-        assert np.array_equal(a, b)
-
-
 def test_average_residual():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.isclose(obj.average_residual(x, np.zeros(2)), 1.0)
@@ -183,3 +172,9 @@ def test_logistic_minimizer_reaches_tolerance_across_sizes():
         suite = obj.logistic_suite(features, labels, reg=0.1)
         x_star = suite.minimizer(1e-12)
         assert np.linalg.norm(suite.global_gradient(x_star)) < 1e-12
+
+
+@pytest.mark.parametrize("reg", [float("nan"), float("inf"), 0.0])
+def test_logistic_regularization_must_be_positive_and_finite(reg):
+    with pytest.raises(obj.ObjectiveError, match="regularization"):
+        obj.LogisticLocal(np.ones((2, 1)), np.array([1.0, -1.0]), reg)

@@ -196,11 +196,21 @@ def test_construction_rejects_bad_matrices():
         wt.WeightMatrix(np.array([[0.9, 0.5], [0.1, 0.5]]), wt.ROW)  # bad rows
 
 
-def test_matrix_csv_round_trip(tmp_path):
-    g = gr.generate_nearest_neighbor(6, 2, 0.05, seed=3, directed=True)
-    a = wt.uniform_row_stochastic(g)
-    path = tmp_path / "a.csv"
-    a.to_csv(path)
-    rows = [[float(v) for v in line.split(",")]
-            for line in path.read_text().splitlines()]
-    assert np.array_equal(np.array(rows), a.entries)
+def test_matrix_owns_its_entries():
+    a = np.full((2, 2), 0.5)
+    w = wt.WeightMatrix(a, wt.DOUBLY)
+    pi_r = w.pi_r.copy()
+    assert a.flags.writeable
+    a[0, 0] = 0.9
+    assert np.array_equal(w.entries, np.full((2, 2), 0.5))
+    assert np.array_equal(w.pi_r, pi_r)
+    assert not w.entries.flags.writeable
+
+
+def test_matrix_is_not_changed_through_the_base_of_a_view():
+    base = np.full((2, 3), 0.5)
+    w = wt.WeightMatrix(base[:, :2], wt.DOUBLY)
+    pi_r = w.pi_r.copy()
+    base[:, 0] = 0.9
+    assert np.array_equal(w.entries, np.full((2, 2), 0.5))
+    assert np.array_equal(w.pi_r, pi_r)
