@@ -63,10 +63,10 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     spec = ENGINES[kind]
     alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
     betas = np.broadcast_to(np.asarray(beta, dtype=float), (n,)).copy()
-    if np.any(alphas < 0) or np.any(betas < 0):
-        raise EngineError("step-sizes and momenta must be nonnegative")
-    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
-        raise EngineError("step-sizes and momenta must be finite")
+    if not (np.all((alphas >= 0) & (alphas < np.inf))
+            and np.all((betas >= 0) & (betas < np.inf))):
+        raise EngineError("step-sizes and momenta must be finite and "
+                          "nonnegative")
     if not np.any(alphas > 0):
         raise EngineError("at least one step-size must be positive")
     if spec.scalar_alpha and np.ptp(alphas) != 0:
