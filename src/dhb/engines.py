@@ -272,15 +272,14 @@ class EngineSpec:
 
     step: object                # (state, cfg, suite) -> next state
     weights: tuple = ()         # weight slots read; none means centralized
-    tracking: bool = False      # y must preserve the gradient sum
     scalar_alpha: bool = False  # needs one step-size shared by all agents
     momentum: bool = False      # reads beta; make_config zeroes it otherwise
 
 
 ENGINES = {
-    "abm": EngineSpec(abm_step, ("A", "B"), tracking=True, momentum=True),
-    "ab": EngineSpec(abm_step, ("A", "B"), tracking=True),
-    "ds_tracking": EngineSpec(abm_step, ("W",), tracking=True),
+    "abm": EngineSpec(abm_step, ("A", "B"), momentum=True),
+    "ab": EngineSpec(abm_step, ("A", "B")),
+    "ds_tracking": EngineSpec(abm_step, ("W",)),
     "extra": EngineSpec(extra_step, ("W",), scalar_alpha=True),
     "ab_extra": EngineSpec(ab_extra_form_step, ("A", "B"), scalar_alpha=True),
     "addopt": EngineSpec(addopt_step, ("B",)),

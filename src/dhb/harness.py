@@ -80,6 +80,9 @@ def _check_keys(section, data, schema=None):
             raise ConfigError(f"{section}.{key} must be {what}, not {value!r}")
         if key in _MINIMUM:
             _check_minimum(f"{section}.{key}", value, _MINIMUM[key])
+        if types[key] is _GRID and not all(0 <= v < math.inf for v in value):
+            raise ConfigError(f"{section}.{key} entries must be finite and "
+                              f"nonnegative, not {value!r}")
 
 
 def _check_minimum(name, value, low):

@@ -9,95 +9,25 @@ class ObjectiveError(DhbError):
     pass
 
 
-class QuadraticLocal:
-    """f(x) = x^T diag(q) x + b^T x with q > 0 elementwise."""
-
-    def __init__(self, q_diag, b):
-        q_diag = np.asarray(q_diag, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if np.any(q_diag <= 0):
-            raise ObjectiveError("quadratic diagonal must be strictly positive")
-        self.q_diag = q_diag
-        self.b = b
-        self.mu = 2.0 * q_diag.min()
-        self.lip = 2.0 * q_diag.max()
-
-    def value(self, x):
-        return float(x @ (self.q_diag * x) + self.b @ x)
-
-    def gradient(self, x):
-        return 2.0 * self.q_diag * x + self.b
-
-
-class LogisticLocal:
-    """Regularized logistic loss over samples (c_j, y_j), y_j in {-1, +1}.
-
-    The decision variable is z = (b, c) in R^{p+1}: weight vector plus an
-    unregularized intercept. Only the weight block carries the ridge term,
-    so the per-agent strong-convexity constant over the full variable is 0.
-    """
-
-    def __init__(self, features, labels, reg):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.ndim != 2:
-            raise ObjectiveError("features must be a 2-d sample matrix")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise ObjectiveError("labels must be in {-1, +1}")
-        if not 0 < reg < np.inf:
-            raise ObjectiveError("regularization must be positive and finite")
-        m = features.shape[0]
-        # augmented samples (c_j, 1) so the intercept rides along
-        self.aug = np.hstack([features, np.ones((m, 1))])
-        self.labels = labels
-        self.reg = float(reg)
-        self.mu = 0.0
-        self.lip = reg + 0.25 * float(np.sum(self.aug * self.aug))
-
-    def _reg_vec(self, z):
-        r = self.reg * z
-        r[-1] = 0.0  # intercept unregularized
-        return r
-
-    def value(self, z):
-        margins = self.labels * (self.aug @ z)
-        # log(1 + exp(-m)) computed stably for both signs of m
-        loss = np.logaddexp(0.0, -margins).sum()
-        return float(loss + 0.5 * self.reg * np.sum(z[:-1] ** 2))
-
-    def gradient(self, z):
-        margins = self.labels * (self.aug @ z)
-        sig = np.exp(-np.logaddexp(0.0, margins))  # sigma(-m), no overflow
-        return -(self.aug.T @ (self.labels * sig)) + self._reg_vec(z)
-
-    def hessian(self, z):
-        margins = self.labels * (self.aug @ z)
-        s = np.exp(-np.logaddexp(0.0, margins))
-        w = s * (1.0 - s)
-        h = self.aug.T @ (self.aug * w[:, None])
-        d = np.full(self.aug.shape[1], self.reg)
-        d[-1] = 0.0
-        return h + np.diag(d)
-
-
 class ObjectiveSuite:
-    """n local objectives plus aggregate constants for F = (1/n) sum f_i.
+    """n local objectives of F = (1/n) sum f_i as arrays stacked over the
+    agents, plus F's constants.
+
+    A quadratic suite holds the (n, p) stacks 2q and b of f_i(x) =
+    x^T diag(q_i) x + b_i^T x. A logistic suite holds the augmented samples
+    (c_j, 1) as one (n, m, p) array and the labels y_j in {-1, +1} as one
+    (n, m) array; z = (b, c) in R^p is a weight vector plus an
+    unregularized intercept.
 
     mu and lip are strong-convexity/smoothness constants for F; for
     quadratic suites they are exact (extreme eigenvalues of the summed
-    diagonal), otherwise lip defaults to the average of the per-agent
-    constants. condition_number = lip / mu.
+    diagonal), for logistic suites lip is the mean over agents of
+    reg + 1/4 ||aug_i||_F^2. condition_number = lip / mu.
     """
 
-    def __init__(self, locals_, p, mu, kind, lip=None):
-        self.locals = list(locals_)
-        self.n = len(self.locals)
-        self.p = p
-        self.kind = kind
-        self.l_i = np.array([f.lip for f in self.locals])
-        self.mu = float(mu)
-        self.lip = float(self.l_i.mean()) if lip is None else float(lip)
-        self.l_bar = float(self.l_i.max())
+    def __init__(self, kind, n, p, mu, lip):
+        self.kind, self.n, self.p = kind, n, p
+        self.mu, self.lip = float(mu), float(lip)
         if self.mu <= 0:
             raise ObjectiveError("aggregate strong convexity must be positive")
         if self.mu > self.lip:
@@ -105,25 +35,32 @@ class ObjectiveSuite:
         self.condition_number = self.lip / self.mu
         self._minimizer = None
 
-    def gradient(self, i, x):
-        return self.locals[i].gradient(x)
-
     def stacked_gradient(self, x_stack, out=None):
         """Gradients of all agents at their own points (n x p), into out."""
         if self.kind == "quadratic":
             out = np.multiply(self._q2_stack, x_stack, out=out)
             return np.add(out, self._b_stack, out=out)
-        out = np.empty(np.shape(x_stack)) if out is None else out
-        out[...] = [self.locals[i].gradient(x_stack[i]) for i in range(self.n)]
-        return out
+        return self._logistic_gradients(x_stack, out)
 
-    def global_value(self, x):
-        return sum(f.value(x) for f in self.locals) / self.n
+    def _logistic_gradients(self, x_stack, out=None):
+        # intercept zeroed after the product: 0.0 * z is -0.0 where z < 0
+        ridge = self.reg * x_stack
+        ridge[:, -1] = 0.0
+        weighted = (self._labels * self._sigma(x_stack))[..., None]
+        out = np.negative(np.matmul(self._aug_t, weighted)[..., 0], out=out)
+        return np.add(out, ridge, out=out)
+
+    def _sigma(self, x):
+        """sigma(-y_j <aug_j, x>) per sample, at one point or one per agent."""
+        margins = self._labels * np.matmul(self._aug, x[..., None])[..., 0]
+        return np.exp(-np.logaddexp(0.0, margins))  # no overflow
 
     def global_gradient(self, x):
         if self.kind == "quadratic":
             return (2.0 * self._q_sum * x + self._b_sum) / self.n
-        return sum(f.gradient(x) for f in self.locals) / self.n
+        # not stacked_gradient: the benchmark times that per engine call
+        grads = self._logistic_gradients(np.broadcast_to(x, (self.n, self.p)))
+        return grads.sum(axis=0, initial=0.0) / self.n
 
     def minimizer(self, tol=1e-12):
         if self._minimizer is None:
@@ -132,37 +69,57 @@ class ObjectiveSuite:
 
 
 def quadratic_suite(q_diags, b_vecs):
-    """Quadratic suite f_i(x) = x^T diag(q_i) x + b_i^T x.
+    """Quadratic suite f_i(x) = x^T diag(q_i) x + b_i^T x with q_i > 0.
 
     The aggregate constants come from the extreme entries of sum_i q_i,
     which are the exact eigen-extremes of the global Hessian.
     """
     q_diags = np.atleast_2d(np.asarray(q_diags, dtype=float))
     b_vecs = np.atleast_2d(np.asarray(b_vecs, dtype=float))
+    if not np.all(q_diags > 0):  # NaN fails too
+        raise ObjectiveError("quadratic diagonal must be strictly positive")
     n, p = q_diags.shape
-    locals_ = [QuadraticLocal(q_diags[i], b_vecs[i]) for i in range(n)]
     q_sum = q_diags.sum(axis=0)
-    mu = 2.0 * q_sum.min() / n
-    lip = 2.0 * q_sum.max() / n
-    suite = ObjectiveSuite(locals_, p, mu=mu, lip=lip, kind="quadratic")
+    suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,
+                           lip=2.0 * q_sum.max() / n)
     suite._q2_stack = 2.0 * q_diags  # the 2.0 * q of every gradient
     suite._b_stack = b_vecs
-    suite._q_sum = q_sum
-    suite._b_sum = b_vecs.sum(axis=0)
+    suite._q_sum, suite._b_sum = q_sum, b_vecs.sum(axis=0)
     return suite
 
 
 def logistic_suite(features, labels, reg):
     """Logistic suite over per-agent data; decision dimension is p + 1.
 
-    The aggregate strong-convexity constant is recorded as the ridge
-    parameter, an optimistic value used only for step-size heuristics;
-    the intercept is unregularized so no positive global constant is
-    available in closed form.
+    `features` holds n (m, p) sample matrices, `labels` n rows of m labels
+    in {-1, +1}. The aggregate strong-convexity constant is recorded as the
+    ridge parameter, an optimistic value used only for step-size
+    heuristics; the intercept is unregularized so no positive global
+    constant is available in closed form.
     """
-    locals_ = [LogisticLocal(f, y, reg) for f, y in zip(features, labels)]
-    p = locals_[0].aug.shape[1]  # includes intercept
-    return ObjectiveSuite(locals_, p, mu=float(reg), kind="logistic")
+    try:
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+    except ValueError:  # ragged: not one shape for every agent
+        raise ObjectiveError("features and labels must be numbers, with as "
+                             "many samples for every agent") from None
+    if features.ndim != 3:
+        raise ObjectiveError("features must be one sample matrix per agent")
+    n, m, p = features.shape
+    if labels.shape != (n, m):
+        raise ObjectiveError(f"labels must have shape ({n}, {m}), one per "
+                             f"sample, not {labels.shape}")
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise ObjectiveError("labels must be in {-1, +1}")
+    if not 0 < reg < np.inf:
+        raise ObjectiveError("regularization must be positive and finite")
+    # augmented samples (c_j, 1) so the intercept rides along
+    aug = np.concatenate([features, np.ones((n, m, 1))], axis=2)
+    lip = np.mean(reg + 0.25 * np.sum(aug * aug, axis=(1, 2)))
+    suite = ObjectiveSuite("logistic", n, p + 1, mu=reg, lip=lip)
+    suite._aug, suite._aug_t = aug, aug.transpose(0, 2, 1)
+    suite._labels, suite.reg = labels, float(reg)
+    return suite
 
 
 def synthesize_logistic_data(n, m_i, p, seed):
@@ -171,6 +128,16 @@ def synthesize_logistic_data(n, m_i, p, seed):
     features = [rng.standard_normal((m_i, p)) for _ in range(n)]
     labels = [2.0 * rng.integers(0, 2, size=m_i) - 1.0 for _ in range(n)]
     return features, labels
+
+
+def logistic_hessian(suite, z):
+    """Hessian of F at z for a logistic suite: the agents' sum, over n."""
+    s = suite._sigma(z)
+    ridge = np.full(suite.p, suite.reg)
+    ridge[-1] = 0.0  # intercept unregularized
+    h = (np.matmul(suite._aug_t, suite._aug * (s * (1.0 - s))[..., None])
+         + np.diag(ridge))
+    return h.sum(axis=0, initial=0.0) / suite.n
 
 
 def global_minimizer(suite, tol=1e-12, max_iter=500):
@@ -186,8 +153,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
         gnorm = np.linalg.norm(g)
         if gnorm < tol:
             return x
-        h = sum(f.hessian(x) for f in suite.locals) / suite.n
-        step = np.linalg.solve(h, g)
+        step = np.linalg.solve(logistic_hessian(suite, x), g)
         # backtrack on ||grad F||: near x* a decrease test on F itself
         # falls below F's roundoff and stalls
         t = 1.0

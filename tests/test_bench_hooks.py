@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dhb import engines, harness, weights
+from dhb import engines, harness, objectives, weights
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
@@ -51,3 +51,18 @@ def test_probe_counts_runs_and_restores_every_wrapper(tmp_path):
             "consensus.radius", "consensus.run"} <= names
     assert all(_current(o, a) is f
                for (o, a), f in zip(_wrapped(probe), originals))
+
+
+def test_probe_times_the_stacked_gradient_and_minimizer_of_a_suite():
+    # the probe wraps ObjectiveSuite.stacked_gradient and
+    # objectives.global_minimizer by name; a suite that reached either by
+    # another name would leave the objectives.* metrics at zero
+    features, labels = objectives.synthesize_logistic_data(4, 5, 2, seed=1)
+    suite = objectives.logistic_suite(features, labels, reg=0.3)
+    probe = tracing.Probe(traced=True)
+    with probe.installed():
+        suite.stacked_gradient(np.zeros((suite.n, suite.p)))
+        suite.minimizer()
+    names = [probe.names[i] for i in probe.cols[3]]
+    assert names.count("objectives.stacked_gradient") == 1
+    assert names.count("objectives.minimizer") == 1

@@ -436,7 +436,7 @@ def test_engine_registry_entry(kind):
     trace = eng.run(cfg, suite, x0 if spec.weights else x0[:1], 5)
     assert [r.k for r in trace.records] == list(range(6))
     for r in trace.records:
-        assert (r.tracking_error is not None) == spec.tracking
+        assert (r.tracking_error is not None) == (spec.step is eng.abm_step)
     config = {
         "graph": {"n": 6, "ring_degree": 2, "extra_link_fraction": 0.1,
                   "directed": True, "seed": 29},

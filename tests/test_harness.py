@@ -480,6 +480,11 @@ def _set(cfg, path, value):
     (("objective", "condition_number"), 0.5),
     (("objective", "condition_number"), float("nan")),
     (("objective", "condition_number"), float("inf")),
+    (("engines", 1, "tune"), {"alpha_grid": [float("nan"), 0.003]}),
+    (("engines", 0, "tune"), {"alpha_grid": [0.003],
+                              "beta_grid": [float("inf"), 0.3]}),
+    (("engines", 0, "tune"), {"alpha_grid": [0.003],
+                              "beta_grid": [-0.5, 0.3]}),
 ])
 def test_cli_rejects_mistyped_config(tmp_path, capsys, path, value):
     cfg = _set(json.loads((CONFIGS / "quickstart.json").read_text()), path,

@@ -15,11 +15,46 @@ def central_difference(f, x, h):
     return g
 
 
+def augment(features):
+    """Agent i's samples (c_j, 1): the intercept rides along."""
+    return np.hstack([features, np.ones((len(features), 1))])
+
+
+# Agent i's logistic loss, gradient and Hessian, one agent at a time: the
+# oracle for the suite's stacked arrays.
+def logistic_value(aug, labels, reg, z):
+    margins = labels * (aug @ z)
+    # log(1 + exp(-m)) computed stably for both signs of m
+    loss = np.logaddexp(0.0, -margins).sum()
+    return float(loss + 0.5 * reg * np.sum(z[:-1] ** 2))
+
+
+def logistic_gradient(aug, labels, reg, z):
+    margins = labels * (aug @ z)
+    sig = np.exp(-np.logaddexp(0.0, margins))  # sigma(-m), no overflow
+    r = reg * z
+    r[-1] = 0.0  # intercept unregularized
+    return -(aug.T @ (labels * sig)) + r
+
+
+def logistic_hessian(aug, labels, reg, z):
+    margins = labels * (aug @ z)
+    s = np.exp(-np.logaddexp(0.0, margins))
+    w = s * (1.0 - s)
+    h = aug.T @ (aug * w[:, None])
+    d = np.full(aug.shape[1], reg)
+    d[-1] = 0.0
+    return h + np.diag(d)
+
+
+def quadratic_value(q, b, x):
+    return float(x @ (q * x) + b @ x)
+
+
 def test_single_agent_identity_quadratic():
     suite = obj.quadratic_suite(np.ones((1, 2)), np.zeros((1, 2)))
     x_star = suite.minimizer()
     assert np.allclose(x_star, 0.0)
-    assert suite.global_value(x_star) == 0.0
 
 
 def test_two_agent_quadratic_minimizer():
@@ -39,21 +74,23 @@ def test_quadratic_condition_number_is_diag_ratio():
 
 
 def test_quadratic_rejects_nonpositive_diagonal():
-    with pytest.raises(obj.ObjectiveError):
-        obj.quadratic_suite([[1.0, 0.0]], [[0.0, 0.0]])
+    for q in (0.0, float("nan")):
+        with pytest.raises(obj.ObjectiveError):
+            obj.quadratic_suite([[1.0, q]], [[0.0, 0.0]])
 
 
 def test_logistic_value_at_zero_is_log_two():
     # single sample with zero features, label +1: exp(0) = 1
-    suite = obj.logistic_suite([np.zeros((1, 3))], [np.ones(1)], reg=1.0)
-    assert np.isclose(suite.locals[0].value(np.zeros(4)), np.log(2.0))
+    assert np.isclose(
+        logistic_value(augment(np.zeros((1, 3))), np.ones(1), 1.0, np.zeros(4)),
+        np.log(2.0))
 
 
 def test_logistic_gradient_at_zero_hand_value():
     # sigma(0) = 1/2: gradient is -y/2 * (c, 1) plus a zero ridge term
     c = np.array([[0.5, -1.0]])
     suite = obj.logistic_suite([c], [np.ones(1)], reg=1.0)
-    g = suite.locals[0].gradient(np.zeros(3))
+    g = suite.stacked_gradient(np.zeros((1, 3)))[0]
     assert np.allclose(g, [-0.25, 0.5, -0.5])
 
 
@@ -66,19 +103,22 @@ def test_logistic_rejects_bad_labels():
 def test_gradient_matches_finite_difference(kind):
     rng = np.random.default_rng(3)
     if kind == "quadratic":
-        suite = obj.quadratic_suite(
-            rng.uniform(0.5, 2.0, (3, 4)), rng.standard_normal((3, 4))
-        )
+        q, b = rng.uniform(0.5, 2.0, (3, 4)), rng.standard_normal((3, 4))
+        suite = obj.quadratic_suite(q, b)
+        values = [lambda x, i=i: quadratic_value(q[i], b[i], x)
+                  for i in range(3)]
     else:
         features, labels = obj.synthesize_logistic_data(3, 6, 3, seed=5)
         suite = obj.logistic_suite(features, labels, reg=0.3)
+        values = [lambda z, i=i: logistic_value(augment(features[i]),
+                                                labels[i], 0.3, z)
+                  for i in range(3)]
     for i in range(suite.n):
-        f = suite.locals[i]
         for _ in range(10):
             x = rng.standard_normal(suite.p)
             h = 1e-6 * (1.0 + np.linalg.norm(x))
-            fd = central_difference(f.value, x, h)
-            g = f.gradient(x)
+            fd = central_difference(values[i], x, h)
+            g = suite.stacked_gradient(np.tile(x, (suite.n, 1)))[i]
             assert np.linalg.norm(fd - g) < 1e-6 * (1.0 + np.linalg.norm(g))
 
 
@@ -105,7 +145,7 @@ def test_logistic_minimizer_gradient_norm():
     x_star = suite.minimizer(tol)
     assert np.linalg.norm(suite.global_gradient(x_star)) < tol
     # sum of local gradients is n * grad F
-    total = sum(suite.gradient(i, x_star) for i in range(suite.n))
+    total = suite.stacked_gradient(np.tile(x_star, (suite.n, 1))).sum(axis=0)
     assert np.linalg.norm(total) < suite.n * tol
 
 
@@ -125,17 +165,17 @@ def test_logistic_symmetry_of_minimizer():
 
 def test_quadratic_strong_convexity_spot_check():
     rng = np.random.default_rng(17)
-    suite = obj.quadratic_suite(
-        rng.uniform(0.5, 2.0, (3, 4)), rng.standard_normal((3, 4))
-    )
+    q, b = rng.uniform(0.5, 2.0, (3, 4)), rng.standard_normal((3, 4))
+    suite = obj.quadratic_suite(q, b)
     for i in range(suite.n):
-        f = suite.locals[i]
+        mu_i = 2.0 * q[i].min()
         for _ in range(20):
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
-            lower = (f.value(x) + f.gradient(x) @ (y - x)
-                     + 0.5 * f.mu * np.sum((x - y) ** 2))
-            assert f.value(y) >= lower - 1e-10
+            g = suite.stacked_gradient(np.tile(x, (suite.n, 1)))[i]
+            lower = (quadratic_value(q[i], b[i], x) + g @ (y - x)
+                     + 0.5 * mu_i * np.sum((x - y) ** 2))
+            assert quadratic_value(q[i], b[i], y) >= lower - 1e-10
 
 
 def test_suite_constant_ordering():
@@ -145,7 +185,6 @@ def test_suite_constant_ordering():
     )
     assert suite.mu <= suite.lip
     assert suite.condition_number >= 1.0
-    assert suite.l_bar == suite.l_i.max()
 
 
 def test_average_residual():
@@ -155,12 +194,13 @@ def test_average_residual():
 
 def test_logistic_gradient_and_hessian_at_large_margins():
     # margins of +1000 and -1000: exp(1000) overflows a double
-    local = obj.LogisticLocal(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), 0.5)
+    suite = obj.logistic_suite([np.array([[1.0], [1.0]])],
+                               [np.array([1.0, -1.0])], 0.5)
     z = np.array([999.0, 1.0])
-    grad = local.gradient(z)
+    grad = suite.stacked_gradient(z[None, :])[0]
     assert np.all(np.isfinite(grad))
     assert np.allclose(grad, [1.0 + 0.5 * 999.0, 1.0])
-    hess = local.hessian(z)
+    hess = obj.logistic_hessian(suite, z)
     assert np.array_equal(hess, np.diag([0.5, 0.0]))
 
 
@@ -177,4 +217,54 @@ def test_logistic_minimizer_reaches_tolerance_across_sizes():
 @pytest.mark.parametrize("reg", [float("nan"), float("inf"), 0.0])
 def test_logistic_regularization_must_be_positive_and_finite(reg):
     with pytest.raises(obj.ObjectiveError, match="regularization"):
-        obj.LogisticLocal(np.ones((2, 1)), np.array([1.0, -1.0]), reg)
+        obj.logistic_suite([np.ones((2, 1))], [np.array([1.0, -1.0])], reg)
+
+
+def test_stacked_logistic_suite_matches_per_agent_formulas_bit_for_bit():
+    # at scales up to 1e6 some margins are so large that sigma underflows
+    # to 0 and the gradient is the ridge term alone
+    rng = np.random.default_rng(23)
+    underflows = 0
+    for n, m, p in ((1, 1, 1), (3, 7, 2), (20, 10, 3), (7, 40, 5)):
+        features, labels = obj.synthesize_logistic_data(n, m, p, seed=n)
+        suite = obj.logistic_suite(features, labels, reg=0.2)
+        augs = [augment(f) for f in features]
+        for scale in (0.1, 1.0, 10.0, 1e3, 1e6):
+            z_stack = scale * rng.standard_normal((n, p + 1))
+            underflows += sum(np.sum(np.logaddexp(0.0, y * (a @ z)) > 746)
+                              for a, y, z in zip(augs, labels, z_stack))
+            expected = np.array([logistic_gradient(a, y, 0.2, z)
+                                 for a, y, z in zip(augs, labels, z_stack)])
+            got = suite.stacked_gradient(z_stack)
+            assert got.tobytes() == expected.tobytes()
+            out = np.empty_like(z_stack)
+            assert suite.stacked_gradient(z_stack, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            z = z_stack[0]
+            g = sum(logistic_gradient(a, y, 0.2, z)
+                    for a, y in zip(augs, labels)) / n
+            assert suite.global_gradient(z).tobytes() == g.tobytes()
+            h = sum(logistic_hessian(a, y, 0.2, z)
+                    for a, y in zip(augs, labels)) / n
+            assert obj.logistic_hessian(suite, z).tobytes() == h.tobytes()
+    assert underflows > 0  # exp(-746) is 0 in double precision
+
+
+def test_logistic_lip_is_mean_of_agent_constants():
+    features, labels = obj.synthesize_logistic_data(5, 4, 3, seed=2)
+    suite = obj.logistic_suite(features, labels, reg=0.1)
+    lips = [0.1 + 0.25 * np.sum(augment(f) ** 2) for f in features]
+    assert suite.lip == np.mean(lips)
+
+
+def test_logistic_rejects_ragged_data():
+    features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
+    features[1], labels[1] = features[1][:3], labels[1][:3]
+    with pytest.raises(obj.ObjectiveError, match="as many samples"):
+        obj.logistic_suite(features, labels, reg=0.1)
+
+
+def test_logistic_rejects_labels_not_one_per_sample():
+    features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
+    with pytest.raises(obj.ObjectiveError, match="shape"):
+        obj.logistic_suite(features, [y[:3] for y in labels], reg=0.1)
