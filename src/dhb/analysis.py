@@ -1,6 +1,5 @@
 """Convergence-rate measurement and trace bookkeeping."""
 
-import csv
 import math
 import time
 from array import array
@@ -78,17 +77,6 @@ class Trace:
             f.write("k,residual,tracking_error,elapsed_s\r\n")
             f.writelines(f"{k},{r!r},{'' if te != te else repr(te)},{el!r}\r\n"
                          for k, r, te, el in zip(*self._columns))
-
-    @classmethod
-    def from_csv(cls, path, meta=None):
-        trace = cls(meta=meta or {})
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)  # header
-            for row in reader:
-                te = None if row[2] == "" else float(row[2])
-                trace.append(int(row[0]), float(row[1]), te, float(row[3]))
-        return trace
 
 
 class _Records(Sequence):

@@ -9,7 +9,6 @@ Consensus on p-vectors is p independent scalar runs, so the systems do not
 depend on p: the coordinates are the columns of one stacked state.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,11 @@ def initial_stack(sys_, values):
     """Stacked initial state [x_0; y_0; x_{-1}] = [values; 0; values], cut to
     the system size; x_{-1} = x_0 makes the first momentum difference zero.
     Values of shape (n,) or (n, p) give one column per coordinate."""
-    values = np.asarray(values, dtype=float).reshape(sys_.n, -1)
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or len(values) != sys_.n:
+        raise ConsensusError(f"values must have shape ({sys_.n},) or "
+                             f"({sys_.n}, p), not {values.shape}")
+    values = values.reshape(sys_.n, -1)
     stack = np.concatenate([values, np.zeros_like(values), values])
     return stack[: sys_.H.shape[0]]
 
@@ -84,10 +87,10 @@ def initial_stack(sys_, values):
 def consensus_run(sys_, values, max_iter, tol=0.0):
     """Iterate the linear system from values of shape (n,) or (n, p),
     recording (1/n) sum_i ||x_i - mean(values)||."""
-    values = np.asarray(values, dtype=float).reshape(sys_.n, -1)
-    mean = values.mean(axis=0)
+    state = initial_stack(sys_, values)
+    mean = state[:sys_.n].mean(axis=0)
     return iterate(
-        initial_stack(sys_, values), lambda s: sys_.H @ s,
+        state, lambda s: sys_.H @ s,
         lambda s: (average_residual(s[:sys_.n], mean), None), max_iter, tol,
         {"engine": f"consensus_{sys_.form}", "alpha": sys_.alpha,
          "beta": sys_.beta},
@@ -118,11 +121,3 @@ def grid_search_params(A, B, alpha_grid, beta_grid, form):
         return grid_argmin(alpha_grid, [0.0], lambda alpha, _:
                            effective_radius(surplus_build(A, B, alpha)))
     raise ConsensusError(f"unknown form {form!r}")
-
-
-def radius_grid_to_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["alpha", "beta", "radius"])
-        for alpha, beta, radius in rows:
-            writer.writerow([repr(float(alpha)), repr(float(beta)), repr(float(radius))])

@@ -152,20 +152,3 @@ def save_edge_list(g, path):
         f.write(f"n {g.n} directed {directed}\n")
         for u, v in edges:
             f.write(f"{u + 1} {v + 1}\n")
-
-
-def load_edge_list(path):
-    """Inverse of save_edge_list; self-loops are re-added on load."""
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != "n" or header[2] != "directed":
-            raise GraphError(f"bad edge-list header in {path}")
-        n = int(header[1])
-        edges = []
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-            edges.append((u, v))
-    return Digraph(n, edges)

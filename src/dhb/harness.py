@@ -135,11 +135,6 @@ def validate_config(data):
     return data
 
 
-def canonical_config(data):
-    """Canonical serialized form used for round-trip checks."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def build_graph(gcfg):
     return gr.generate_nearest_neighbor(
         gcfg["n"], gcfg["ring_degree"], gcfg["extra_link_fraction"],
@@ -294,7 +289,7 @@ def run_experiment(cfg, out_dir=None):
             "fitted_rate": rate,
             "termination": trace.meta["termination"],
         })
-    _write_summary(summary, os.path.join(out_dir, "summary.csv"))
+    _write_table(summary, os.path.join(out_dir, "summary.csv"))
     _write_plot_script(
         [e["kind"] for e in cfg["engines"]],
         os.path.join(out_dir, "plot_traces.py"),
@@ -329,7 +324,7 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
                 "beta": beta,
                 "iterations_to_threshold": "" if iters is None else iters,
             })
-    _write_summary(rows, os.path.join(out_dir, "sweep_summary.csv"))
+    _write_table(rows, os.path.join(out_dir, "sweep_summary.csv"))
     return rows
 
 
@@ -352,8 +347,9 @@ def run_consensus_experiment(cfg, out_dir=None):
         alpha, beta, radius, rows = cns.grid_search_params(
             A, B, alpha_grid, beta_grid, form
         )
-        cns.radius_grid_to_csv(
-            rows, os.path.join(out_dir, f"radius_grid_{form}.csv")
+        _write_table(
+            [{"alpha": a, "beta": b, "radius": r} for a, b, r in rows],
+            os.path.join(out_dir, f"radius_grid_{form}.csv"),
         )
         if form == "abmc":
             sys_ = cns.abmc_build(A, B, alpha, beta)
@@ -367,7 +363,7 @@ def run_consensus_experiment(cfg, out_dir=None):
     return results
 
 
-def _write_summary(rows, path):
+def _write_table(rows, path):
     if not rows:
         return
     with open(path, "w", newline="") as f:

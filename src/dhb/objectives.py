@@ -78,6 +78,9 @@ def quadratic_suite(q_diags, b_vecs):
     b_vecs = np.atleast_2d(np.asarray(b_vecs, dtype=float))
     if not np.all(q_diags > 0):  # NaN fails too
         raise ObjectiveError("quadratic diagonal must be strictly positive")
+    if q_diags.ndim != 2 or b_vecs.shape != q_diags.shape:
+        raise ObjectiveError(f"need (n, p) diagonals and linear terms of one "
+                             f"shape, not {q_diags.shape} and {b_vecs.shape}")
     n, p = q_diags.shape
     q_sum = q_diags.sum(axis=0)
     suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,

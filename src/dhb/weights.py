@@ -63,15 +63,6 @@ class WeightMatrix:
     pi_r = property(lambda self: self._perron[0])
     pi_c = property(lambda self: self._perron[1])
 
-    def infinite_power(self):
-        """Power limit: 1 pi_r^T (row), pi_c 1^T (column), (1/n) 1 1^T (doubly)."""
-        ones = np.ones(self.n)
-        if self.kind == DOUBLY:
-            return np.full((self.n, self.n), 1.0 / self.n)
-        if self.kind == ROW:
-            return np.outer(ones, self.pi_r)
-        return np.outer(self.pi_c, ones)
-
 
 def _fixed_point(m, side):
     """v with m v = v and 1^T v = 1: (m - I) v = 0 with its last equation

@@ -100,33 +100,6 @@ def test_gd_rate_oracle_monotone_and_ordered():
         prev_gd, prev_hb = gd, hb
 
 
-def test_trace_csv_round_trip(tmp_path):
-    trace = an.Trace(meta={"engine": "demo"})
-    rng = np.random.default_rng(0)
-    for k in range(25):
-        trace.append(k, float(rng.uniform(1e-12, 1.0)),
-                     float(rng.uniform(0, 1e-10)), 0.001 * k)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    loaded = an.Trace.from_csv(path, meta={"engine": "demo"})
-    assert len(loaded.records) == 25
-    for a, b in zip(trace.records, loaded.records):
-        assert a.k == b.k
-        assert a.residual == b.residual
-        assert a.tracking_error == b.tracking_error
-        assert a.elapsed == b.elapsed
-
-
-def test_trace_csv_handles_missing_tracking(tmp_path):
-    trace = an.Trace()
-    trace.append(0, 1.0)
-    trace.append(1, 0.5)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    loaded = an.Trace.from_csv(path)
-    assert loaded.records[0].tracking_error is None
-
-
 def test_diverged_flag():
     trace = an.Trace(meta={"termination": "diverged"})
     assert trace.diverged

@@ -233,15 +233,15 @@ def test_vector_run_matches_scalar_runs_per_coordinate(form):
                                                    values.mean(axis=0))) < 1e-12
 
 
-def test_radius_grid_csv_round_trip(tmp_path):
-    A, B = make_matrices(4, seed=13)
-    _, _, _, rows = cs.grid_search_params(A, B, [0.1, 0.2], [0.0, 0.1], "abmc")
-    path = tmp_path / "grid.csv"
-    cs.radius_grid_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "alpha,beta,radius"
-    parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert parsed == rows
+@pytest.mark.parametrize("values", [np.arange(10.0), np.ones((5, 2, 1)),
+                                    np.ones(7)],
+                         ids=["two_per_agent", "three_axes", "seven_agents"])
+def test_consensus_values_must_be_one_row_per_agent(values):
+    sys_ = cs.abmc_build(*make_matrices(5, seed=15), 0.2, 0.1)
+    with pytest.raises(cs.ConsensusError, match="shape"):
+        cs.initial_stack(sys_, values)
+    with pytest.raises(cs.ConsensusError, match="shape"):
+        cs.consensus_run(sys_, values, 10)
 
 
 def test_surplus_is_leading_block_of_zero_momentum_system():

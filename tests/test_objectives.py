@@ -257,6 +257,14 @@ def test_logistic_lip_is_mean_of_agent_constants():
     assert suite.lip == np.mean(lips)
 
 
+@pytest.mark.parametrize("q, b", [([[1.0, 1.0]], [[0.0, 0.0, 0.0]]),
+                                  (np.ones((2, 2, 2)), np.ones((2, 2, 2)))],
+                         ids=["mismatched", "three_axes"])
+def test_quadratic_rejects_data_not_of_one_n_by_p_shape(q, b):
+    with pytest.raises(obj.ObjectiveError, match="shape"):
+        obj.quadratic_suite(q, b)
+
+
 def test_logistic_rejects_ragged_data():
     features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
     features[1], labels[1] = features[1][:3], labels[1][:3]

@@ -159,22 +159,11 @@ def test_perron_solved_once_on_first_read(monkeypatch):
     assert calls == [wt.ROW]
 
 
-def test_infinite_power_closed_forms():
-    g = gr.generate_nearest_neighbor(8, 2, 0.05, seed=4, directed=True)
-    a = wt.uniform_row_stochastic(g)
-    assert np.allclose(a.infinite_power(), np.outer(np.ones(8), a.pi_r))
-    b = wt.uniform_column_stochastic(g)
-    assert np.allclose(b.infinite_power(), np.outer(b.pi_c, np.ones(8)))
-    g2 = gr.generate_nearest_neighbor(8, 2, 0.05, seed=4, directed=False)
-    w = wt.laplacian_doubly_stochastic(g2)
-    assert np.allclose(w.infinite_power(), np.full((8, 8), 1.0 / 8.0))
-
-
-def test_powers_converge_to_infinite_power():
+def test_powers_converge_to_the_perron_limit():
     g = gr.generate_nearest_neighbor(10, 2, 0.05, seed=6, directed=True)
     a = wt.uniform_row_stochastic(g)
     assert np.max(np.abs(np.linalg.matrix_power(a.entries, 200)
-                         - a.infinite_power())) < 1e-6
+                         - np.outer(np.ones(10), a.pi_r))) < 1e-6
 
 
 def test_sparsity_pattern_respects_graph():
