@@ -6,10 +6,6 @@ import numpy as np
 
 from .errors import DhbError
 
-# Attempts to redraw the random extra links before declaring the
-# requested parameters too sparse for strong connectivity.
-RETRY_BUDGET = 50
-
 
 class GraphError(DhbError):
     pass
@@ -74,8 +70,6 @@ def _reachable(n, nbrs, start):
 
 def is_strongly_connected(g):
     """True iff every node reaches every other node along directed edges."""
-    if g.n == 1:
-        return True
     forward = _reachable(g.n, g.out_neighbors, 0)
     if len(forward) != g.n:
         return False
@@ -86,14 +80,14 @@ def is_strongly_connected(g):
 def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directed):
     """Ring-of-nearest-neighbors topology plus uniformly random extra links.
 
-    Undirected graphs connect node i bidirectionally to its ring_degree
-    nearest ring neighbors (ring_degree//2 on each side, rounding the
-    extra one forward). Directed graphs always keep the forward cycle
-    i -> i+1 so that strong connectivity never depends on the random
-    draws; the remaining ring links get a random orientation. On top of
-    the ring, floor(extra_link_fraction * n * (n-1)) random links are
-    added, redrawn up to RETRY_BUDGET times if the result is not
-    strongly connected.
+    Undirected graphs connect node i both ways to the ceil(ring_degree/2)
+    ring neighbors on each side, min(2 * ceil(ring_degree/2), n - 1)
+    neighbors in all. Directed graphs keep the forward links i -> i+1 and
+    give the ring links at distances 2..ring_degree a random orientation.
+    Both rings contain the cycle 0 -> 1 -> ... -> n-1 -> 0, so the graph
+    is strongly connected whatever the draws. On top of the ring,
+    floor(extra_link_fraction * n * (n-1)) random links are added (both
+    ways when undirected).
     """
     if n < 2:
         raise GraphError("need n >= 2")
@@ -103,44 +97,36 @@ def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directe
         raise GraphError("extra_link_fraction must be in [0, 1]")
 
     rng = np.random.default_rng(seed)
-    ring = set()
+    edges = set()
     if directed:
         for i in range(n):
-            ring.add((i, (i + 1) % n))
+            edges.add((i, (i + 1) % n))
         for d in range(2, ring_degree + 1):
             for i in range(n):
                 j = (i + d) % n
                 if rng.random() < 0.5:
-                    ring.add((i, j))
+                    edges.add((i, j))
                 else:
-                    ring.add((j, i))
+                    edges.add((j, i))
     else:
         half = ring_degree // 2 + (ring_degree % 2)
         for i in range(n):
             for d in range(1, half + 1):
                 j = (i + d) % n
-                if i != j:
-                    ring.add((i, j))
-                    ring.add((j, i))
+                edges.add((i, j))
+                edges.add((j, i))
 
+    n_ring = len(edges)
     n_extra = int(extra_link_fraction * n * (n - 1))
-    for _ in range(RETRY_BUDGET):
-        edges = set(ring)
-        while len(edges) < len(ring) + n_extra and len(edges) < n * (n - 1):
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
-            if u == v or (u, v) in edges:
-                continue
-            edges.add((u, v))
-            if not directed:
-                edges.add((v, u))
-        g = Digraph(n, edges)
-        if is_strongly_connected(g):
-            return g
-    raise GraphError(
-        "could not reach strong connectivity within the retry budget; "
-        "parameters are too sparse"
-    )
+    while len(edges) < n_ring + n_extra and len(edges) < n * (n - 1):
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u == v or (u, v) in edges:
+            continue
+        edges.add((u, v))
+        if not directed:
+            edges.add((v, u))
+    return Digraph(n, edges)
 
 
 def save_edge_list(g, path):

@@ -235,20 +235,19 @@ def _resolve_engine(ecfg, run_cfg, suite, mats, x0, cache):
 
 
 def _run_engines(cfg, suite, mats, x0):
-    """Resolve, build and run each configured engine in turn; yields
-    (kind, alpha, beta, trace). Tuning and final runs share one run cache,
-    so a trajectory is computed once per pass (ab's runs are abm's at
-    beta = 0, and a tuned winner was run while tuning)."""
+    """(kind, alpha, beta, trace) of each engine, all resolved before the
+    first final run. Tuning and final runs share one run cache, so a
+    trajectory is computed once per pass (ab's runs are abm's at beta = 0,
+    and a tuned winner was run while tuning)."""
     run_cfg = cfg["run"]
     cache = {}
-    for ecfg in cfg["engines"]:
-        alpha, beta, engine_cfg, ex0 = _resolve_engine(
-            ecfg, run_cfg, suite, mats, x0, cache
-        )
-        yield ecfg["kind"], alpha, beta, eng.run(
-            engine_cfg, suite, ex0, run_cfg["max_iter"],
-            run_cfg["stop_residual"], cache=cache,
-        )
+    resolved = [(e["kind"], *_resolve_engine(e, run_cfg, suite, mats, x0,
+                                             cache))
+                for e in cfg["engines"]]
+    return [(kind, alpha, beta,
+             eng.run(engine_cfg, suite, ex0, run_cfg["max_iter"],
+                     run_cfg["stop_residual"], cache=cache))
+            for kind, alpha, beta, engine_cfg, ex0 in resolved]
 
 
 def tune_engines(cfg):
@@ -268,11 +267,12 @@ def run_experiment(cfg, out_dir=None):
     """One figure's worth of runs: a trace CSV per engine, a summary CSV,
     and a plot script rendering all engines on one log-residual axes."""
     suite, mats, x0 = _prepare(cfg)
+    runs = _run_engines(cfg, suite, mats, x0)
     out_dir = _out_dir(cfg, out_dir)
 
     traces = {}
     summary = []
-    for kind, alpha, beta, trace in _run_engines(cfg, suite, mats, x0):
+    for kind, alpha, beta, trace in runs:
         trace.meta["seed"] = cfg["run"]["seed"]
         trace.to_csv(os.path.join(out_dir, f"trace_{kind}.csv"))
         traces[kind] = trace
@@ -310,7 +310,6 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
         )
     for q in condition_numbers:
         _check_minimum("a condition number", q, 1)
-    out_dir = _out_dir(cfg, out_dir)
 
     rows = []
     for q in condition_numbers:
@@ -324,7 +323,8 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
                 "beta": beta,
                 "iterations_to_threshold": "" if iters is None else iters,
             })
-    _write_table(rows, os.path.join(out_dir, "sweep_summary.csv"))
+    _write_table(rows, os.path.join(_out_dir(cfg, out_dir),
+                                    "sweep_summary.csv"))
     return rows
 
 

@@ -62,9 +62,10 @@ class ObjectiveSuite:
         grads = self._logistic_gradients(np.broadcast_to(x, (self.n, self.p)))
         return grads.sum(axis=0, initial=0.0) / self.n
 
-    def minimizer(self, tol=1e-12):
+    def minimizer(self):
+        """x* of F from global_minimizer at tol 1e-12, computed once."""
         if self._minimizer is None:
-            self._minimizer = global_minimizer(self, tol)
+            self._minimizer = global_minimizer(self)
         return self._minimizer
 
 
@@ -78,9 +79,11 @@ def quadratic_suite(q_diags, b_vecs):
     b_vecs = np.atleast_2d(np.asarray(b_vecs, dtype=float))
     if not np.all(q_diags > 0):  # NaN fails too
         raise ObjectiveError("quadratic diagonal must be strictly positive")
-    if q_diags.ndim != 2 or b_vecs.shape != q_diags.shape:
+    if (q_diags.ndim != 2 or b_vecs.shape != q_diags.shape
+            or q_diags.size == 0):
         raise ObjectiveError(f"need (n, p) diagonals and linear terms of one "
-                             f"shape, not {q_diags.shape} and {b_vecs.shape}")
+                             f"shape with n, p >= 1, not {q_diags.shape} and "
+                             f"{b_vecs.shape}")
     n, p = q_diags.shape
     q_sum = q_diags.sum(axis=0)
     suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,

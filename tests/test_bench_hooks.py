@@ -8,10 +8,17 @@ import numpy as np
 
 from dhb import engines, harness, objectives, weights
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "bench" / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("bench_tracing", "tracing.py")
+workloads = _load("bench_workloads", "workloads.py")
 
 
 def _wrapped(probe):
@@ -66,3 +73,15 @@ def test_probe_times_the_stacked_gradient_and_minimizer_of_a_suite():
     names = [probe.names[i] for i in probe.cols[3]]
     assert names.count("objectives.stacked_gradient") == 1
     assert names.count("objectives.minimizer") == 1
+
+
+def test_tuned_momentum_passes_the_benchmark_check_at_seed_0(tmp_path):
+    # the pinned winners, iterations and run counts the benchmark compares
+    # every call against; engines.runs counts cache hits too
+    workload = workloads.WORKLOADS["tuned_momentum"]
+    cfg = workload.make_config(workloads.DEFAULT_SEED)
+    probe = tracing.Probe(traced=False)
+    with probe.installed():
+        result = harness.run_experiment(cfg, str(tmp_path))
+    assert workload.check(cfg, result, probe.counts,
+                          workloads.DEFAULT_SEED) == []

@@ -358,7 +358,7 @@ def test_run_experiment_computes_each_trajectory_once(tmp_path, monkeypatch):
     traces, _ = hs.run_experiment(tuned_pair_config(tmp_path))
     # the abm grid's four points; ab's grid is abm's beta = 0 column, and
     # each winner was run while tuning
-    assert runs == ["abm"] * 5 + ["ab"] * 3
+    assert runs == ["abm"] * 4 + ["ab"] * 2 + ["abm", "ab"]
     assert computed == ["abm"] * 4
     assert traces["ab"].meta["cached"] and traces["abm"].meta["cached"]
     assert traces["ab"].meta["engine"] == "ab"
@@ -616,15 +616,18 @@ def test_cli_sweep_rejects_bad_condition_numbers(tmp_path, capsys, qs):
     assert not (tmp_path / "out" / "sweep_summary.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("alpha", [float("nan")] + [0.003] * 19),
-    ("beta", float("inf")),
-])
+@pytest.mark.parametrize("key, value, index", [
+    ("alpha", [float("nan")] + [0.003] * 19, 0),
+    ("beta", float("inf"), 0),
+    ("alpha", [float("nan")] + [0.003] * 19, 1),
+    ("beta", float("inf"), 1),
+], ids=["alpha-value0", "beta-inf", "alpha-engines1", "beta-engines1"])
 def test_cli_rejects_non_finite_steps_before_any_run(tmp_path, capsys,
-                                                     monkeypatch, key, value):
+                                                     monkeypatch, key, value,
+                                                     index):
     runs = log_kinds(monkeypatch, "run")
     cfg = json.loads((CONFIGS / "quickstart.json").read_text())
-    cfg["engines"][0][key] = value
+    cfg["engines"][index][key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -632,6 +635,28 @@ def test_cli_rejects_non_finite_steps_before_any_run(tmp_path, capsys,
     assert "finite" in assert_one_error_line(capsys).err
     assert runs == []
     assert not list(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("engine, message", [
+    ({"kind": "ab"}, "needs alpha or a tune grid"),
+    ({"kind": "ab", "alpha": [-0.003] + [0.003] * 19}, "finite"),
+    ({"kind": "ab_extra", "alpha": [0.004] + [0.003] * 19},
+     "identical scalar step-size"),
+], ids=["no_alpha", "negative_alpha", "unequal_alpha"])
+def test_cli_checks_every_engine_before_any_run(tmp_path, capsys, monkeypatch,
+                                                engine, message):
+    # engines[0] is valid; the second engine's mistake must stop the run
+    # before abm's final run and before the output directory is made
+    runs = log_kinds(monkeypatch, "run")
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][1] = engine
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in assert_one_error_line(capsys).err
+    assert runs == []
+    assert not out.exists()
 
 
 def test_cli_rejects_non_finite_logistic_reg(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_logistic_minimizer_gradient_norm():
     features, labels = obj.synthesize_logistic_data(4, 8, 3, seed=7)
     suite = obj.logistic_suite(features, labels, reg=0.5)
     tol = 1e-12
-    x_star = suite.minimizer(tol)
+    x_star = suite.minimizer()
     assert np.linalg.norm(suite.global_gradient(x_star)) < tol
     # sum of local gradients is n * grad F
     total = suite.stacked_gradient(np.tile(x_star, (suite.n, 1))).sum(axis=0)
@@ -210,7 +210,7 @@ def test_logistic_minimizer_reaches_tolerance_across_sizes():
     for n, m_i, p, seed in itertools.product((20, 50), (10, 40), (2, 5), range(4)):
         features, labels = obj.synthesize_logistic_data(n, m_i, p, seed)
         suite = obj.logistic_suite(features, labels, reg=0.1)
-        x_star = suite.minimizer(1e-12)
+        x_star = suite.minimizer()
         assert np.linalg.norm(suite.global_gradient(x_star)) < 1e-12
 
 
@@ -263,6 +263,12 @@ def test_logistic_lip_is_mean_of_agent_constants():
 def test_quadratic_rejects_data_not_of_one_n_by_p_shape(q, b):
     with pytest.raises(obj.ObjectiveError, match="shape"):
         obj.quadratic_suite(q, b)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 2)], ids=["p_0", "n_0"])
+def test_quadratic_rejects_empty_stacks(shape):
+    with pytest.raises(obj.ObjectiveError, match="n, p >= 1"):
+        obj.quadratic_suite(np.ones(shape), np.ones(shape))
 
 
 def test_logistic_rejects_ragged_data():

@@ -37,6 +37,26 @@ def test_generated_graph_is_strongly_connected(g):
 
 
 @PROPERTY_SETTINGS
+@given(st.data())
+def test_generated_graph_contains_the_ring_cycle(data):
+    # the cycle 0 -> 1 -> ... -> n-1 -> 0 is what makes every draw strongly
+    # connected; the undirected ring links ceil(ring_degree/2) on each side
+    n = data.draw(st.integers(2, 40))
+    ring_degree = data.draw(st.integers(1, n - 1))
+    extra = data.draw(st.just(0.0) | st.floats(0.0, 0.2))
+    directed = data.draw(st.booleans())
+    g = gr.generate_nearest_neighbor(n, ring_degree, extra,
+                                     data.draw(st.integers(0, 2**16)),
+                                     directed)
+    assert gr.is_strongly_connected(g)
+    edges = set(g.edges())
+    assert all((i, (i + 1) % n) in edges for i in range(n))
+    if not directed and extra == 0.0:
+        degree = min(2 * -(-ring_degree // 2), n - 1)
+        assert all(len(g.out_neighbors[i] - {i}) == degree for i in range(n))
+
+
+@PROPERTY_SETTINGS
 @given(graphs())
 def test_weights_are_stochastic_with_exact_perron_vectors(g):
     a = wt.uniform_row_stochastic(g)
