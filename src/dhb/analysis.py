@@ -114,34 +114,36 @@ def iterate(state, step, measure, max_iter, stop_residual, meta):
 
 
 def iterate_blocks(advance, rows, max_iter, stop_residual, meta):
-    """The run loop: advance(k, m <= rows) returns the lists (residuals,
-    tracking errors, NaN for none) of records k .. k + m - 1, record k the
-    state after step k; a non-finite residual is recorded as inf without
-    tracking error. Stops at max_iter, below stop_residual, or after a step
-    whose residual is above 1e12 or not finite ("diverged", flagged so that
+    """The run loop, under errstate, since the steps past a divergence
+    overflow: advance(k, m <= rows) returns the lists (residuals, tracking
+    errors, NaN for none) of records k .. k + m - 1, record k the state
+    after step k; a non-finite residual is recorded as inf without tracking
+    error. Stops at max_iter, below stop_residual, or after a step whose
+    residual is above 1e12 or not finite ("diverged", flagged so that
     parameter searches go on past unstable points); records past the stop
     are dropped. Elapsed times are taken at the end of each block."""
     trace = Trace(meta=dict(meta, termination="max_iter"))
     t0 = time.perf_counter()
     k = 0
-    while k <= max_iter:
-        residuals, errors = advance(k, min(rows, max_iter + 1 - k))
-        for i, res in enumerate(residuals):
-            if not math.isfinite(res):
-                res = residuals[i] = math.inf
-                errors[i] = math.nan
-            if k + i > 0 and res > DIVERGENCE_RESIDUAL:
-                end = "diverged"
-            elif res < stop_residual:
-                end = "threshold"
-            else:
-                continue
-            trace.meta["termination"] = end
-            trace.extend(k, residuals[:i + 1], errors[:i + 1],
-                         time.perf_counter() - t0)
-            return trace
-        trace.extend(k, residuals, errors, time.perf_counter() - t0)
-        k += len(residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k <= max_iter:
+            residuals, errors = advance(k, min(rows, max_iter + 1 - k))
+            for i, res in enumerate(residuals):
+                if not math.isfinite(res):
+                    res = residuals[i] = math.inf
+                    errors[i] = math.nan
+                if k + i > 0 and res > DIVERGENCE_RESIDUAL:
+                    end = "diverged"
+                elif res < stop_residual:
+                    end = "threshold"
+                else:
+                    continue
+                trace.meta["termination"] = end
+                trace.extend(k, residuals[:i + 1], errors[:i + 1],
+                             time.perf_counter() - t0)
+                return trace
+            trace.extend(k, residuals, errors, time.perf_counter() - t0)
+            k += len(residuals)
     return trace
 
 

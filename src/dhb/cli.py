@@ -75,6 +75,9 @@ def main(argv=None):
                 final = r["trace"].records[-1].residual
                 print(f"{form}: alpha={r['alpha']:g} beta={r['beta']:g} "
                       f"radius={r['radius']:.6f} final_residual={final:.3e}")
+            if all(r["trace"].diverged for r in results.values()):
+                print("error: every consensus form diverged", file=sys.stderr)
+                return 2
         elif args.verb == "tune":
             for kind, alpha, beta in harness.tune_engines(cfg):
                 if alpha is None:

@@ -61,8 +61,7 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     if kind not in ENGINES:
         raise EngineError(f"unknown engine kind {kind!r}")
     spec = ENGINES[kind]
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
-    betas = np.broadcast_to(np.asarray(beta, dtype=float), (n,)).copy()
+    alphas, betas = _per_agent(alpha, n), _per_agent(beta, n)
     if not (np.all((alphas >= 0) & (alphas < np.inf))
             and np.all((betas >= 0) & (betas < np.inf))):
         raise EngineError("step-sizes and momenta must be finite and "
@@ -78,12 +77,27 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
         if getattr(matrices[slot], "kind", None) != _SLOT_KINDS[slot]:
             raise EngineError(f"{kind} needs a {_SLOT_KINDS[slot]}-stochastic "
                               f"matrix {slot}")
+        if matrices[slot].n != n:
+            raise EngineError(f"{kind} needs {slot} to be {n} x {n}, not "
+                              f"{matrices[slot].n} x {matrices[slot].n}")
     if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
         raise EngineError("extra requires a symmetric W")
     if kind == "ds_tracking":
         A = B = W  # DIGing / Aug-DGM is ab on (W, W)
     W_tilde = (np.eye(n) + W.entries) / 2.0 if kind == "extra" else None
     return EngineConfig(kind, alphas, betas, A=A, B=B, W=W, W_tilde=W_tilde)
+
+
+def _per_agent(value, n):
+    """value as n floats: one number for every agent, or one per agent."""
+    try:
+        values = np.asarray(value, dtype=float)
+        if values.shape in ((), (n,)):
+            return np.broadcast_to(values, (n,)).copy()
+    except (TypeError, ValueError):
+        pass
+    raise EngineError("step-sizes and momenta must be a number or a list of "
+                      f"one number per agent ({n}), not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,9 @@ def init_state(cfg, suite, x0):
     if not ENGINES[cfg.kind].weights:
         x0 = _check_shapes(x0, 1, suite.p)
         return AlgorithmState(x=x0, x_prev=np.zeros_like(x0))
+    if len(cfg.alphas) != suite.n:
+        raise EngineError(f"the config has {len(cfg.alphas)} agents, the "
+                          f"suite {suite.n}")
     x0 = _check_shapes(x0, suite.n, suite.p)
     grads = suite.stacked_gradient(x0)
     state = AlgorithmState(
@@ -369,8 +386,7 @@ BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
 def _fused_abm(state, cfg, suite, x_star):
     """(advance, rows) for analysis.iterate_blocks: abm_step's operations,
     in its order, in place in (rows + 2, n, p) buffers of x, y and the
-    gradients, whose rows 0 and 1 are the two records before the block.
-    Blocks run under errstate: the steps past a divergence overflow."""
+    gradients, whose rows 0 and 1 are the two records before the block."""
     n, p = state.x.shape
     rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
     a, b = cfg.A.entries, cfg.B.entries
@@ -384,22 +400,21 @@ def _fused_abm(state, cfg, suite, x_star):
     def advance(k, m):
         lo = 1 if k == 0 else 2  # record 0 is not stepped to
         hi = lo + m
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(2, hi):
-                x, y, x_new, y_new = xs[i - 1], ys[i - 1], xs[i], ys[i]
-                np.matmul(a, x, out=x_new)
-                np.multiply(alphas, y, out=tmp)
-                np.subtract(x_new, tmp, out=x_new)
-                np.subtract(x, xs[i - 2], out=tmp)
-                np.multiply(betas, tmp, out=tmp)
-                np.add(x_new, tmp, out=x_new)
-                suite.stacked_gradient(x_new, out=gs[i])
-                np.matmul(b, y, out=y_new)
-                np.add(y_new, gs[i], out=y_new)
-                np.subtract(y_new, gs[i - 1], out=y_new)
-            residuals = average_residual(X[lo:hi], x_star)
-            errors = tracking_error(
-                AlgorithmState(X[lo:hi], y=Y[lo:hi], grads=G[lo:hi]), suite)
+        for i in range(2, hi):
+            x, y, x_new, y_new = xs[i - 1], ys[i - 1], xs[i], ys[i]
+            np.matmul(a, x, out=x_new)
+            np.multiply(alphas, y, out=tmp)
+            np.subtract(x_new, tmp, out=x_new)
+            np.subtract(x, xs[i - 2], out=tmp)
+            np.multiply(betas, tmp, out=tmp)
+            np.add(x_new, tmp, out=x_new)
+            suite.stacked_gradient(x_new, out=gs[i])
+            np.matmul(b, y, out=y_new)
+            np.add(y_new, gs[i], out=y_new)
+            np.subtract(y_new, gs[i - 1], out=y_new)
+        residuals = average_residual(X[lo:hi], x_star)
+        errors = tracking_error(
+            AlgorithmState(X[lo:hi], y=Y[lo:hi], grads=G[lo:hi]), suite)
         for buf in (X, Y, G):
             buf[:2] = buf[hi - 2:hi]
         return residuals.tolist(), errors

@@ -198,69 +198,74 @@ def _out_dir(cfg, out_dir):
     return out_dir
 
 
-def _resolve_engine(ecfg, run_cfg, suite, mats, x0, cache):
-    """(alpha, beta, engine config, x0) of one engine, with fixed or
-    grid-searched parameters per the engine config; tuning runs through
-    `cache`. A kind without weight slots is centralized and starts from
-    the first agent's x0."""
-    kind = ecfg["kind"]
-    matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
-    if not matrices:
-        x0 = x0[:1]
-    alpha = ecfg.get("alpha")
-    beta = ecfg.get("beta", 0.0)
-    if "tune" in ecfg:
-        alpha, beta, _ = eng.tune_parameters(
-            kind, suite, x0, ecfg["tune"]["alpha_grid"],
-            ecfg["tune"].get("beta_grid", [0.0]),
-            run_cfg["max_iter"], run_cfg["stop_residual"], cache=cache,
-            **matrices,
-        )
-        if alpha is None:
-            raise ConfigError(
-                f"tuning found no convergent parameters for {kind!r}"
+def _resolve_engines(cfg, suite, mats, x0, cache):
+    """(kind, alpha, beta, engine config, x0) of each engine, with fixed,
+    default or grid-searched parameters, every one checked by make_config
+    before the caller runs any; tuning runs through `cache`. A kind without
+    weight slots is centralized and starts from the first agent's x0."""
+    run_cfg = cfg["run"]
+    resolved = []
+    for ecfg in cfg["engines"]:
+        kind = ecfg["kind"]
+        matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
+        ex0 = x0 if matrices else x0[:1]
+        alpha = ecfg.get("alpha")
+        beta = ecfg.get("beta", 0.0)
+        if "tune" in ecfg:
+            alpha, beta, _ = eng.tune_parameters(
+                kind, suite, ex0, ecfg["tune"]["alpha_grid"],
+                ecfg["tune"].get("beta_grid", [0.0]),
+                run_cfg["max_iter"], run_cfg["stop_residual"], cache=cache,
+                **matrices,
             )
-    elif alpha is None:
-        if kind == "gd":
-            alpha = 2.0 / (suite.mu + suite.lip)
-        elif kind == "heavy_ball":
-            alpha, beta = eng.polyak_parameters(suite.mu, suite.lip)
-        else:
-            raise ConfigError(f"engine {kind!r} needs alpha or a tune grid")
-    engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
-    # report the largest alpha and beta the engine runs with; make_config
-    # zeroes beta for ab, gd
-    return (float(np.max(engine_cfg.alphas)), float(np.max(engine_cfg.betas)),
-            engine_cfg, x0)
+            if alpha is None:
+                raise ConfigError(
+                    f"tuning found no convergent parameters for {kind!r}"
+                )
+        elif alpha is None:
+            if kind == "gd":
+                alpha = 2.0 / (suite.mu + suite.lip)
+            elif kind == "heavy_ball":
+                alpha, beta = eng.polyak_parameters(suite.mu, suite.lip)
+            else:
+                raise ConfigError(
+                    f"engine {kind!r} needs alpha or a tune grid")
+        engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
+        # report the largest alpha and beta the engine runs with;
+        # make_config zeroes beta for ab, gd
+        resolved.append((kind, float(np.max(engine_cfg.alphas)),
+                         float(np.max(engine_cfg.betas)), engine_cfg, ex0))
+    return resolved
 
 
 def _run_engines(cfg, suite, mats, x0):
-    """(kind, alpha, beta, trace) of each engine, all resolved before the
-    first final run. Tuning and final runs share one run cache, so a
-    trajectory is computed once per pass (ab's runs are abm's at beta = 0,
-    and a tuned winner was run while tuning)."""
-    run_cfg = cfg["run"]
+    """(summary row, trace) of each engine's final run, after every engine
+    is resolved; a row holds the engine, alpha, beta and
+    iterations_to_threshold columns. Tuning and final runs share one run
+    cache, so a trajectory is computed once per pass (ab's runs are abm's
+    at beta = 0, and a tuned winner was run while tuning)."""
+    max_iter, threshold = cfg["run"]["max_iter"], cfg["run"]["stop_residual"]
     cache = {}
-    resolved = [(e["kind"], *_resolve_engine(e, run_cfg, suite, mats, x0,
-                                             cache))
-                for e in cfg["engines"]]
-    return [(kind, alpha, beta,
-             eng.run(engine_cfg, suite, ex0, run_cfg["max_iter"],
-                     run_cfg["stop_residual"], cache=cache))
-            for kind, alpha, beta, engine_cfg, ex0 in resolved]
+    runs = []
+    for kind, alpha, beta, engine_cfg, ex0 in _resolve_engines(
+            cfg, suite, mats, x0, cache):
+        trace = eng.run(engine_cfg, suite, ex0, max_iter, threshold,
+                        cache=cache)
+        iters = iterations_to_threshold(trace, threshold)
+        runs.append(({"engine": kind, "alpha": alpha, "beta": beta,
+                      "iterations_to_threshold": "" if iters is None
+                      else iters}, trace))
+    return runs
 
 
 def tune_engines(cfg):
-    """Grid-search each engine that has a tune grid, without the final
-    runs: one (kind, alpha, beta) per engine, alpha and beta None for an
-    engine without a grid."""
+    """Resolve every engine as run_experiment does, without the final runs:
+    one (kind, alpha, beta) per engine, alpha and beta None for an engine
+    without a tune grid."""
     suite, mats, x0 = _prepare(cfg)
-    cache = {}
-    return [
-        (e["kind"], *_resolve_engine(e, cfg["run"], suite, mats, x0, cache)[:2])
-        if "tune" in e else (e["kind"], None, None)
-        for e in cfg["engines"]
-    ]
+    return [(kind, alpha, beta) if "tune" in e else (kind, None, None)
+            for e, (kind, alpha, beta, _, _) in zip(
+                cfg["engines"], _resolve_engines(cfg, suite, mats, x0, {}))]
 
 
 def run_experiment(cfg, out_dir=None):
@@ -272,23 +277,15 @@ def run_experiment(cfg, out_dir=None):
 
     traces = {}
     summary = []
-    for kind, alpha, beta, trace in runs:
-        trace.meta["seed"] = cfg["run"]["seed"]
-        trace.to_csv(os.path.join(out_dir, f"trace_{kind}.csv"))
-        traces[kind] = trace
-        iters = iterations_to_threshold(trace, cfg["run"]["stop_residual"])
+    for row, trace in runs:
+        trace.to_csv(os.path.join(out_dir, f"trace_{row['engine']}.csv"))
+        traces[row["engine"]] = trace
         try:
             rate, _ = fit_linear_rate(trace)
         except AnalysisError:
             rate = float("nan")
-        summary.append({
-            "engine": kind,
-            "alpha": alpha,
-            "beta": beta,
-            "iterations_to_threshold": "" if iters is None else iters,
-            "fitted_rate": rate,
-            "termination": trace.meta["termination"],
-        })
+        summary.append({**row, "fitted_rate": rate,
+                        "termination": trace.meta["termination"]})
     _write_table(summary, os.path.join(out_dir, "summary.csv"))
     _write_plot_script(
         [e["kind"] for e in cfg["engines"]],
@@ -314,15 +311,8 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
     rows = []
     for q in condition_numbers:
         suite = build_quadratic(*x0.shape, q, ocfg["seed"])
-        for kind, alpha, beta, trace in _run_engines(cfg, suite, mats, x0):
-            iters = iterations_to_threshold(trace, cfg["run"]["stop_residual"])
-            rows.append({
-                "condition_number": q,
-                "engine": kind,
-                "alpha": alpha,
-                "beta": beta,
-                "iterations_to_threshold": "" if iters is None else iters,
-            })
+        rows += [{"condition_number": q, **row}
+                 for row, _ in _run_engines(cfg, suite, mats, x0)]
     _write_table(rows, os.path.join(_out_dir(cfg, out_dir),
                                     "sweep_summary.csv"))
     return rows

@@ -266,3 +266,16 @@ def test_consensus_run_diverges_above_unit_radius():
     assert trace.meta["termination"] == "diverged"
     assert trace.records[-1].residual > 1e12
     assert trace.records[-1].k < 100000
+
+
+@pytest.mark.parametrize("form", ["abmc", "surplus"])
+def test_consensus_run_past_an_overflow_ends_diverged(form):
+    # no errstate here: the run loop owns it, and the suite's settings make
+    # a RuntimeWarning fail the test
+    A, B = make_matrices(5, seed=15)
+    sys_ = (cs.abmc_build(A, B, 1e200, 0.5) if form == "abmc"
+            else cs.surplus_build(A, B, 1e200))
+    values = np.random.default_rng(15).standard_normal(5)
+    trace = cs.consensus_run(sys_, values, 100)
+    assert trace.diverged
+    assert trace.records[-1].k < 100

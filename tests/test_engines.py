@@ -385,6 +385,50 @@ def test_make_config_validation():
         eng.make_config("ab_extra", 5, [0.1, 0.2, 0.1, 0.1, 0.1], A=A, B=B)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    ([1e-3] * 3, 0.0), (1e-3, [0.1] * 6), ([1e-3], 0.0),
+    ([[1e-3] * 5], 0.0), ("fast", 0.0), ([1e-3, [1e-3]], 0.0),
+], ids=["alpha-3", "beta-6", "alpha-1", "alpha-2d", "alpha-str",
+        "alpha-ragged"])
+def test_make_config_rejects_values_not_one_per_agent(alpha, beta):
+    _, A, B, _, _ = make_setup(5, 2, seed=26)
+    with pytest.raises(eng.EngineError, match="one number per agent"):
+        eng.make_config("abm", 5, alpha, beta, A=A, B=B)
+
+
+@pytest.mark.parametrize("kind", ["abm", "frost", "addopt", "ds_tracking"])
+def test_make_config_rejects_weights_of_another_size(kind):
+    _, A, B, _, _ = make_setup(5, 2, seed=26)
+    W = wt.laplacian_doubly_stochastic(gr.generate_nearest_neighbor(
+        5, 2, 0.1, seed=26, directed=False))
+    matrices = {"A": A, "B": B, "W": W}
+    slots = {s: matrices[s] for s in eng.ENGINE_WEIGHTS[kind]}
+    with pytest.raises(eng.EngineError, match="to be 4 x 4, not 5 x 5"):
+        eng.make_config(kind, 4, 0.01, **slots)
+
+
+def test_init_state_rejects_a_suite_of_another_size():
+    _, A, B, _, _ = make_setup(5, 2, seed=26)
+    _, _, _, suite, x0 = make_setup(6, 2, seed=26)
+    cfg = eng.make_config("abm", 5, 0.01, 0.1, A=A, B=B)
+    with pytest.raises(eng.EngineError, match="5 agents"):
+        eng.init_state(cfg, suite, x0)
+
+
+@pytest.mark.parametrize("kind", ["gd", "frost", "ab_extra"])
+def test_per_step_runs_past_an_overflow_end_diverged(kind):
+    # no errstate here: the run loop owns it, and the suite's settings make
+    # a RuntimeWarning fail the test
+    _, A, B, suite, x0 = make_setup(5, 2, seed=29)
+    slots = {s: {"A": A, "B": B}[s] for s in eng.ENGINE_WEIGHTS[kind]}
+    n = 1 if not slots else 5
+    cfg = eng.make_config(kind, n, 1e300, **slots)
+    trace = eng.run(cfg, suite, x0[:n], 100)
+    assert trace.diverged
+    assert trace.iterations().tolist() == [0, 1]
+    assert trace.residuals()[-1] == np.inf
+
+
 def test_zero_step_size_at_one_agent_still_converges():
     _, A, B, suite, x0 = make_setup(6, 2, seed=27)
     alphas = np.full(6, 0.02)
@@ -454,8 +498,7 @@ def test_engine_registry_entry(kind):
 def test_run_overflowing_iterate_ends_on_one_inf_record():
     _, A, B, suite, x0 = make_setup(5, 2, seed=29)
     cfg = eng.make_config("abm", 5, 1e308, 0.1, A=A, B=B)
-    with np.errstate(over="ignore"):  # alpha * y overflows on the first step
-        trace = eng.run(cfg, suite, x0, 100)
+    trace = eng.run(cfg, suite, x0, 100)  # alpha * y overflows on step 1
     assert trace.diverged
     residuals = trace.residuals()
     assert len(residuals) == 2 and np.isfinite(residuals[0])

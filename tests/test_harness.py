@@ -238,11 +238,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad_path)]) == 2
 
 
-def test_cli_flags_total_divergence(tmp_path):
-    cfg = base_config(tmp_path, engines=[{"kind": "ab", "alpha": 50.0}])
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path)]) == 2
+def test_cli_flags_total_divergence(tmp_path, capsys):
+    # gd at 1e300 overflows, and the suite's settings make a RuntimeWarning
+    # fail the test
+    for engine in ({"kind": "ab", "alpha": 50.0},
+                   {"kind": "gd", "alpha": 1e300}):
+        cfg = base_config(tmp_path, engines=[engine])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = assert_one_error_line(capsys)
+        assert captured.err == "error: every engine diverged\n"
+        assert "(diverged)" in captured.out
 
 
 def test_cli_graph_gen(tmp_path):
@@ -680,3 +687,35 @@ def test_sweep_reports_the_largest_per_agent_step(tmp_path):
     with open(tmp_path / "out" / "sweep_summary.csv", newline="") as f:
         (row,) = csv.DictReader(f)
     assert float(row["alpha"]) == max(alphas)
+
+
+def test_cli_tune_checks_every_engine_as_run_does(tmp_path, capsys):
+    # engines[0] has no tune grid; tune resolves it all the same
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][0]["alpha"] = float("nan")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    run_err = assert_one_error_line(capsys).err
+    assert "finite" in run_err
+    assert cli.main(["tune", "--config", str(path)]) == 2
+    captured = assert_one_error_line(capsys)
+    assert captured.err == run_err and captured.out == ""
+
+
+def test_cli_consensus_exits_2_when_every_form_diverges(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    cfg["consensus"]["alpha_grid"] = [3.0, 5.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["consensus", "--config", str(path),
+                     "--out", str(out)]) == 2
+    captured = assert_one_error_line(capsys)
+    assert captured.err == "error: every consensus form diverged\n"
+    assert len(captured.out.splitlines()) == 2
+    for form in ("abmc", "surplus"):
+        assert (out / f"radius_grid_{form}.csv").exists()
+        _, residual = read_trace(out / f"trace_consensus_{form}.csv")
+        assert residual[-1] > 1e12
