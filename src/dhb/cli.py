@@ -74,7 +74,7 @@ def main(argv=None):
             for form, r in results.items():
                 final = r["trace"].records[-1].residual
                 print(f"{form}: alpha={r['alpha']:g} beta={r['beta']:g} "
-                      f"radius={r['radius']:.6f} final_residual={final:.3e}")
+                      f"radius={r['radius']:.6g} final_residual={final:.3e}")
             if all(r["trace"].diverged for r in results.values()):
                 print("error: every consensus form diverged", file=sys.stderr)
                 return 2

@@ -1,7 +1,5 @@
 """Strongly connected directed/undirected graphs with self-loops at every node."""
 
-from collections import deque
-
 import numpy as np
 
 from .errors import DhbError
@@ -16,65 +14,54 @@ class Digraph:
 
     An edge (u, v) means u sends to v, i.e. u is an in-neighbor of v.
     Every node has a self-loop; self-loops are implied and need not be
-    listed in `edges`. Instances are immutable after construction.
+    listed in `edges`. The graph is its read-only n x n boolean `mask`:
+    mask[i, j] is true iff j sends to i, and the diagonal is true.
     """
 
     def __init__(self, n, edges):
         if n < 1:
             raise GraphError("need at least one node")
-        in_nbrs = [set([i]) for i in range(n)]
-        out_nbrs = [set([i]) for i in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            in_nbrs[v].add(u)
-            out_nbrs[u].add(v)
+        try:
+            pairs = np.array(list(edges) or np.empty((0, 2), dtype=int))
+        except ValueError:  # ragged pairs
+            pairs = None
+        if (pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2
+                or not np.issubdtype(pairs.dtype, np.integer)):
+            raise GraphError("edges must be (u, v) pairs of integer node indices")
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        if len(outside):
+            u, v = pairs[outside[0]]
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        mask = np.eye(n, dtype=bool)
+        mask[pairs[:, 1], pairs[:, 0]] = True
+        mask.setflags(write=False)
         self.n = n
-        self.in_neighbors = tuple(frozenset(s) for s in in_nbrs)
-        self.out_neighbors = tuple(frozenset(s) for s in out_nbrs)
+        self.mask = mask
 
     def edges(self):
         """Directed edge set excluding self-loops, as sorted (u, v) pairs."""
-        out = []
-        for v in range(self.n):
-            for u in self.in_neighbors[v]:
-                if u != v:
-                    out.append((u, v))
-        return sorted(out)
+        u, v = np.nonzero(self.mask.T & ~np.eye(self.n, dtype=bool))
+        return list(zip(u.tolist(), v.tolist()))
 
     def is_undirected(self):
-        return all(
-            self.in_neighbors[i] == self.out_neighbors[i] for i in range(self.n)
-        )
-
-    def adjacency(self):
-        """Dense 0/1 matrix M with M[i, j] = 1 iff j is an in-neighbor of i."""
-        m = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in self.in_neighbors[i]:
-                m[i, j] = 1.0
-        return m
+        return np.array_equal(self.mask, self.mask.T)
 
 
-def _reachable(n, nbrs, start):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _reaches_all(m):
+    """True iff node 0 reaches every node along the edges u -> v, m[u, v]."""
+    seen = np.zeros(len(m), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = m[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
-def is_strongly_connected(g):
-    """True iff every node reaches every other node along directed edges."""
-    forward = _reachable(g.n, g.out_neighbors, 0)
-    if len(forward) != g.n:
-        return False
-    backward = _reachable(g.n, g.in_neighbors, 0)
-    return len(backward) == g.n
+def is_strongly_connected(mask):
+    """True iff every node reaches every other node, where the boolean
+    matrix mask[i, j] is true iff j sends to i (as in Digraph.mask)."""
+    return _reaches_all(mask.T) and _reaches_all(mask)
 
 
 def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directed):
@@ -102,12 +89,10 @@ def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directe
         for i in range(n):
             edges.add((i, (i + 1) % n))
         for d in range(2, ring_degree + 1):
-            for i in range(n):
+            # one draw per node, in node order: the stream of n scalar draws
+            for i, forward in enumerate((rng.random(n) < 0.5).tolist()):
                 j = (i + d) % n
-                if rng.random() < 0.5:
-                    edges.add((i, j))
-                else:
-                    edges.add((j, i))
+                edges.add((i, j) if forward else (j, i))
     else:
         half = ring_degree // 2 + (ring_degree % 2)
         for i in range(n):

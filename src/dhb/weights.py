@@ -37,17 +37,18 @@ class WeightMatrix:
         n = entries.shape[0]
         if entries.shape != (n, n):
             raise WeightError("entries must be square")
-        if np.any(entries < 0):
+        # each check is written so that a NaN fails it
+        if not np.all(entries >= 0):
             raise WeightError("entries must be nonnegative")
-        if np.any(np.diag(entries) <= 0):
+        if not np.all(np.diag(entries) > 0):
             raise WeightError("diagonal must be strictly positive")
         if kind in (ROW, DOUBLY):
             resid = np.max(np.abs(entries.sum(axis=1) - 1.0))
-            if resid > STOCHASTIC_TOL:
+            if not resid <= STOCHASTIC_TOL:
                 raise WeightError(f"row sums off by {resid:.2e}")
         if kind in (COLUMN, DOUBLY):
             resid = np.max(np.abs(entries.sum(axis=0) - 1.0))
-            if resid > STOCHASTIC_TOL:
+            if not resid <= STOCHASTIC_TOL:
                 raise WeightError(f"column sums off by {resid:.2e}")
         if kind not in (ROW, COLUMN, DOUBLY):
             raise WeightError(f"unknown kind {kind!r}")
@@ -91,8 +92,7 @@ def perron_vectors(w):
     The one not defined for the kind is None. A reducible W (support graph
     not strongly connected) has no unique positive one: WeightError.
     """
-    support = gr.Digraph(w.n, np.argwhere(w.entries.T).tolist())  # j -> i
-    if not gr.is_strongly_connected(support):
+    if not gr.is_strongly_connected(w.entries > 0):
         raise WeightError("matrix is reducible: no unique positive Perron vector")
     pi_r = _fixed_point(w.entries.T, "left") if w.kind != COLUMN else None
     pi_c = _fixed_point(w.entries, "right") if w.kind != ROW else None
@@ -101,16 +101,13 @@ def perron_vectors(w):
 
 def uniform_row_stochastic(g):
     """a_ij = 1 / |in-neighbors of i| for each in-neighbor j of i."""
-    a = g.adjacency()
-    a /= a.sum(axis=1, keepdims=True)
-    return WeightMatrix(a, ROW, _fresh=True)
+    return WeightMatrix(g.mask / g.mask.sum(axis=1, keepdims=True), ROW,
+                        _fresh=True)
 
 
 def uniform_column_stochastic(g):
     """b_ij = 1 / |out-neighbors of j| for each out-neighbor i of j."""
-    b = g.adjacency()
-    b /= b.sum(axis=0)
-    return WeightMatrix(b, COLUMN, _fresh=True)
+    return WeightMatrix(g.mask / g.mask.sum(axis=0), COLUMN, _fresh=True)
 
 
 def laplacian_doubly_stochastic(g):
@@ -122,7 +119,7 @@ def laplacian_doubly_stochastic(g):
     if not g.is_undirected():
         raise WeightError("doubly-stochastic construction requires an undirected graph")
     n = g.n
-    adj = g.adjacency() - np.eye(n)  # drop self-loops
+    adj = g.mask & ~np.eye(n, dtype=bool)  # drop self-loops
     deg = adj.sum(axis=1)
     lap = np.diag(deg) - adj
     w = np.eye(n) - lap / (deg.max() + 1.0)

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dhb import engines, harness, objectives, weights
 
@@ -75,10 +76,12 @@ def test_probe_times_the_stacked_gradient_and_minimizer_of_a_suite():
     assert names.count("objectives.minimizer") == 1
 
 
-def test_tuned_momentum_passes_the_benchmark_check_at_seed_0(tmp_path):
+@pytest.mark.parametrize("name", ["tuned_momentum", "large_ring"])
+def test_engine_workload_passes_the_benchmark_check_at_seed_0(tmp_path, name):
     # the pinned winners, iterations and run counts the benchmark compares
-    # every call against; engines.runs counts cache hits too
-    workload = workloads.WORKLOADS["tuned_momentum"]
+    # every call against; engines.runs counts cache hits too. large_ring
+    # pins the outputs of the benchmark's n = 500 graph and its weights.
+    workload = workloads.WORKLOADS[name]
     cfg = workload.make_config(workloads.DEFAULT_SEED)
     probe = tracing.Probe(traced=False)
     with probe.installed():

@@ -6,7 +6,7 @@ from dhb import graph as gr
 
 def brute_force_strongly_connected(g):
     """Independent oracle: boolean transitive closure via matrix powers."""
-    reach = g.adjacency().astype(bool).T  # reach[i, j]: edge i -> j
+    reach = g.mask.T  # reach[i, j]: edge i -> j
     for _ in range(g.n):
         reach = reach | (reach @ reach)
     return bool(reach.all())
@@ -14,17 +14,17 @@ def brute_force_strongly_connected(g):
 
 def test_two_cycle_is_strongly_connected():
     g = gr.Digraph(2, [(0, 1), (1, 0)])
-    assert gr.is_strongly_connected(g)
+    assert gr.is_strongly_connected(g.mask)
 
 
 def test_disjoint_self_loops_not_strongly_connected():
     g = gr.Digraph(2, [])
-    assert not gr.is_strongly_connected(g)
+    assert not gr.is_strongly_connected(g.mask)
 
 
 def test_directed_path_not_strongly_connected():
     g = gr.Digraph(3, [(0, 1), (1, 2)])
-    assert not gr.is_strongly_connected(g)
+    assert not gr.is_strongly_connected(g.mask)
     assert not brute_force_strongly_connected(g)
 
 
@@ -38,38 +38,37 @@ def test_is_strongly_connected_matches_brute_force():
             if u != v:
                 edges.add((int(u), int(v)))
         g = gr.Digraph(n, edges)
-        assert gr.is_strongly_connected(g) == brute_force_strongly_connected(g)
+        assert (gr.is_strongly_connected(g.mask)
+                == brute_force_strongly_connected(g))
 
 
 def test_ring_n4_degree2_undirected():
     g = gr.generate_nearest_neighbor(4, 2, 0.0, seed=0, directed=False)
-    assert gr.is_strongly_connected(g)
+    assert gr.is_strongly_connected(g.mask)
     assert g.is_undirected()
     # full ring: each node linked to both ring neighbors
     for i in range(4):
-        assert {(i - 1) % 4, i, (i + 1) % 4} == set(g.in_neighbors[i])
+        assert {(i - 1) % 4, i, (i + 1) % 4} == set(np.flatnonzero(g.mask[i]))
 
 
 def test_two_node_directed_ring_is_two_cycle():
     g = gr.generate_nearest_neighbor(2, 1, 0.0, seed=3, directed=True)
     assert g.edges() == [(0, 1), (1, 0)]
-    assert g.in_neighbors[0] == frozenset({0, 1})
+    assert g.mask.tolist() == [[True, True], [True, True]]
 
 
 def test_large_directed_graph_is_sparse():
     n = 500
     g = gr.generate_nearest_neighbor(n, 4, 0.0005, seed=1, directed=True)
-    assert gr.is_strongly_connected(g)
+    assert gr.is_strongly_connected(g.mask)
     assert len(g.edges()) < 0.04 * n * (n - 1)
 
 
 def test_self_loops_always_present():
     for seed in range(5):
         g = gr.generate_nearest_neighbor(12, 3, 0.02, seed=seed, directed=True)
-        assert gr.is_strongly_connected(g)
-        for i in range(g.n):
-            assert i in g.in_neighbors[i]
-            assert i in g.out_neighbors[i]
+        assert gr.is_strongly_connected(g.mask)
+        assert g.mask.diagonal().all()
 
 
 def test_generation_deterministic_in_seed():
@@ -81,12 +80,13 @@ def test_generation_deterministic_in_seed():
 
 
 def test_neighbor_maps_mutually_consistent():
-    g = gr.generate_nearest_neighbor(15, 2, 0.05, seed=9, directed=True)
-    for i in range(g.n):
-        for j in g.in_neighbors[i]:
-            assert i in g.out_neighbors[j]
-        for j in g.out_neighbors[i]:
-            assert i in g.in_neighbors[j]
+    # row i of the mask holds i's in-neighbors and column j holds j's
+    # out-neighbors: mask[i, j] iff j sends to i
+    g = gr.Digraph(3, [(0, 1), (1, 2)])
+    assert g.mask.tolist() == [[True, False, False],
+                               [True, True, False],
+                               [False, True, True]]
+    assert not g.mask.flags.writeable
 
 
 def test_parameter_validation():
@@ -98,6 +98,17 @@ def test_parameter_validation():
         gr.generate_nearest_neighbor(5, 2, 1.5, 0, True)
 
 
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1, 2)], "pairs"), ([(0,)], "pairs"), ([[0, 1], [1]], "pairs"),
+    ([(0.5, 1)], "integer"), ([0, 1], "pairs"),
+    ([(0, 1), (-1, 0)], r"edge \(-1, 0\) out of range for n=3"),
+    ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+], ids=["triple", "single", "ragged", "float", "flat", "negative", "past_n"])
+def test_malformed_edges_raise_graph_error(edges, match):
+    with pytest.raises(gr.GraphError, match=match):
+        gr.Digraph(3, edges)
+
+
 def test_edge_list_round_trip(tmp_path):
     g = gr.generate_nearest_neighbor(10, 2, 0.05, seed=5, directed=True)
     path = tmp_path / "graph.txt"
@@ -107,4 +118,4 @@ def test_edge_list_round_trip(tmp_path):
     g2 = gr.Digraph(10, np.loadtxt(path, skiprows=1, dtype=int, ndmin=2) - 1)
     assert g2.n == g.n
     assert g2.edges() == g.edges()
-    assert all(i in g2.in_neighbors[i] for i in range(g2.n))
+    assert np.array_equal(g2.mask, g.mask)

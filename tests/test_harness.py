@@ -262,7 +262,7 @@ def test_cli_graph_gen(tmp_path):
     assert code == 0
     assert out.read_text().splitlines()[0] == "n 10 directed 1"
     g = gr.Digraph(10, np.loadtxt(out, skiprows=1, dtype=int, ndmin=2) - 1)
-    assert gr.is_strongly_connected(g)
+    assert gr.is_strongly_connected(g.mask)
 
 
 def test_cli_tune_prints_parameters(tmp_path, capsys):
@@ -574,6 +574,20 @@ def test_cli_reports_non_finite_consensus_grid(tmp_path, capsys, grid, value):
     assert cli.main(["consensus", "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 2
     assert "finite" in assert_one_error_line(capsys).err
+
+
+def test_cli_prints_a_huge_consensus_radius_in_short_form(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "consensus_directed.json").read_text())
+    cfg["consensus"]["alpha_grid"] = cfg["consensus"]["beta_grid"] = [1e200]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["consensus", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    captured = assert_one_error_line(capsys)
+    assert "diverged" in captured.err
+    radii = [field for line in captured.out.splitlines()
+             for field in line.split() if field.startswith("radius=")]
+    assert radii == ["radius=2.17872e+192", "radius=1e+200"]
 
 
 def test_cli_n_override_is_validated(tmp_path, capsys):

@@ -170,12 +170,9 @@ def test_sparsity_pattern_respects_graph():
     g = gr.generate_nearest_neighbor(10, 2, 0.05, seed=8, directed=True)
     a = wt.uniform_row_stochastic(g)
     b = wt.uniform_column_stochastic(g)
-    for i in range(g.n):
-        for j in range(g.n):
-            if a.entries[i, j] > 0:
-                assert j in g.in_neighbors[i]
-            if b.entries[i, j] > 0:
-                assert i in g.out_neighbors[j]
+    # a_ij > 0 iff j sends to i; b_ij > 0 iff j sends to i
+    assert np.array_equal(a.entries > 0, g.mask)
+    assert np.array_equal(b.entries > 0, g.mask)
 
 
 def test_construction_rejects_bad_matrices():
@@ -183,6 +180,15 @@ def test_construction_rejects_bad_matrices():
         wt.WeightMatrix(np.array([[0.0, 1.0], [0.5, 0.5]]), wt.ROW)  # zero diag
     with pytest.raises(wt.WeightError):
         wt.WeightMatrix(np.array([[0.9, 0.5], [0.1, 0.5]]), wt.ROW)  # bad rows
+
+
+@pytest.mark.parametrize("kind", [wt.ROW, wt.COLUMN, wt.DOUBLY])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off"])
+def test_construction_rejects_nan(kind, at):
+    entries = np.full((2, 2), 0.5)
+    entries[at] = np.nan
+    with pytest.raises(wt.WeightError):
+        wt.WeightMatrix(entries, kind)
 
 
 def test_matrix_owns_its_entries():
