@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Snapshot of what the dhb of this checkout prints and writes, for a
+byte-identity check between two checkouts.
+
+    python3 scripts/snapshot_outputs.py OUT_DIR
+
+Each command below runs in its own directory OUT_DIR/<name>, from a copy of
+its config there and with relative paths, so no checkout path reaches the
+outputs. The directory keeps the config, `stdout.txt`, `exit_code.txt` and
+the files the command wrote; the `elapsed_s` column is dropped from every
+trace CSV, since it is wall time. Two checkouts produce the same outputs
+when `diff -r` of their snapshots is empty.
+"""
+
+import argparse
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+
+def generated_configs():
+    """Two configs that together run all ten engine kinds: the eight that
+    need no doubly-stochastic weights on quickstart's directed quadratic
+    problem, and ds_tracking, extra, gd and heavy_ball on an undirected
+    logistic one. Each holds one tuned centralized kind and one with its
+    default parameters."""
+    quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
+    directed = copy.deepcopy(quickstart)
+    directed["engines"] = [
+        {"kind": "abm", "alpha": 0.003, "beta": 0.3},
+        {"kind": "ab", "alpha": 0.003},
+        {"kind": "ab_extra", "alpha": 0.003},
+        {"kind": "addopt", "alpha": 0.003},
+        {"kind": "frost", "alpha": 0.003},
+        {"kind": "transformed_exact", "alpha": 0.003},
+        {"kind": "gd", "tune": {"alpha_grid": [0.001, 0.01, 0.02]}},
+        {"kind": "heavy_ball"},
+    ]
+    directed["run"]["max_iter"] = 20000
+    logistic = copy.deepcopy(quickstart)
+    logistic["graph"].update(n=10, directed=False)
+    logistic["objective"] = {"kind": "logistic", "m_i": 20, "p": 3,
+                             "reg": 0.1, "seed": 11}
+    logistic["engines"] = [
+        {"kind": "ds_tracking", "alpha": 0.05},
+        {"kind": "extra", "alpha": 0.05},
+        {"kind": "gd"},
+        {"kind": "heavy_ball", "tune": {"alpha_grid": [0.05, 0.1],
+                                        "beta_grid": [0.0, 0.3]}},
+    ]
+    logistic["run"]["max_iter"] = 20000
+    return {"directed_quadratic": directed, "undirected_logistic": logistic}
+
+
+def commands():
+    """(name, config or None, dhb arguments) of every snapshot command."""
+    shipped = {name: json.loads((CONFIGS / f"{name}.json").read_text())
+               for name in ("quickstart", "consensus_directed",
+                            "reference_sweep")}
+    generated = generated_configs()
+    return [
+        ("run_quickstart", shipped["quickstart"], ["run"]),
+        ("tune_quickstart", shipped["quickstart"], ["tune"]),
+        ("consensus_directed", shipped["consensus_directed"], ["consensus"]),
+        ("sweep_reference", shipped["reference_sweep"],
+         ["sweep", "--condition-numbers", "10,100"]),
+        ("tune_reference", shipped["reference_sweep"], ["tune"]),
+        ("graph_gen", None, ["graph-gen", "--n", "100", "--ring-degree", "4",
+                             "--directed", "--seed", "1", "--out", "g.txt"]),
+        ("run_directed_quadratic", generated["directed_quadratic"], ["run"]),
+        ("tune_directed_quadratic", generated["directed_quadratic"],
+         ["tune"]),
+        ("run_undirected_logistic", generated["undirected_logistic"],
+         ["run"]),
+    ]
+
+
+def drop_elapsed(path):
+    """Rewrite a trace CSV without its last column, elapsed_s."""
+    with open(path, newline="") as f:
+        rows = f.read().split("\r\n")
+    assert rows[0].endswith(",elapsed_s"), path
+    with open(path, "w", newline="") as f:
+        f.write("\r\n".join(r.rsplit(",", 1)[0] for r in rows if r) + "\r\n")
+
+
+def snapshot(out_dir):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, config, args in commands():
+        here = out_dir / name
+        here.mkdir(parents=True)
+        if config is not None:
+            (here / "config.json").write_text(json.dumps(config, indent=2))
+            args = args + ["--config", "config.json", "--out", "out"]
+        done = subprocess.run([sys.executable, "-m", "dhb.cli", *args],
+                              cwd=here, env=env, capture_output=True,
+                              text=True, check=False)
+        (here / "stdout.txt").write_text(done.stdout)
+        (here / "exit_code.txt").write_text(f"{done.returncode}\n")
+        for trace in sorted(here.glob("out/trace_*.csv")):
+            drop_elapsed(trace)
+        print(f"{name}: exit {done.returncode}", flush=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="snapshot directory; "
+                        "must not exist yet")
+    out_dir = parser.parse_args().out_dir
+    if out_dir.exists():
+        parser.error(f"{out_dir} already exists")
+    snapshot(out_dir)
+
+
+if __name__ == "__main__":
+    main()

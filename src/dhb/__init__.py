@@ -1,13 +1,1 @@
 """Distributed heavy-ball optimization and consensus simulator."""
-
-from . import analysis, consensus, engines, graph, harness, objectives, weights
-
-__all__ = [
-    "analysis",
-    "consensus",
-    "engines",
-    "graph",
-    "harness",
-    "objectives",
-    "weights",
-]

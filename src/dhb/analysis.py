@@ -91,9 +91,6 @@ class _Records(Sequence):
     def __getitem__(self, i):
         return _record(*(col[i] for col in self._columns))
 
-    def __iter__(self):
-        return (_record(*row) for row in zip(*self._columns))
-
 
 def _record(k, residual, tracking_error, elapsed):
     te = None if tracking_error != tracking_error else tracking_error

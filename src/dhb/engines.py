@@ -1,8 +1,10 @@
 """Distributed and centralized first-order algorithm engines.
 
-Every engine is a value-semantics state machine: one step consumes a state
-and returns a new one, corresponding to one synchronous round of neighbor
-exchange plus local updates at all agents.
+Each kind's step function consumes a state and returns a new one: one
+synchronous round of neighbor exchange plus local updates at all agents.
+run() computes the kinds on abm_step (abm, ab, ds_tracking) with a fused
+stepper instead, which applies abm_step's operations in place in blocks of
+preallocated buffers; the step functions stay the per-step definition.
 """
 
 import hashlib
@@ -114,27 +116,26 @@ class AlgorithmState:
     V: np.ndarray = None          # n x n eigenvector-estimate matrix
 
 
-def _check_shapes(x0, n, p):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n, p):
-        raise EngineError(f"x0 must have shape ({n}, {p}), got {x0.shape}")
-    return x0
-
-
 def init_state(cfg, suite, x0):
     """Bootstrap conventions: x_prev = 0, y_0 = local gradients at x_0.
 
-    A kind without weight slots holds one centralized iterate. extra and
-    ab_extra prime their second history on the first step call, the one
-    whose state has no grads_prev.
+    A kind without weight slots holds one centralized iterate, started
+    from the first row of an n x p (or 1 x p) x0. extra and ab_extra prime
+    their second history on the first step call, the one whose state has
+    no grads_prev.
     """
+    x0 = np.asarray(x0, dtype=float)
     if not ENGINES[cfg.kind].weights:
-        x0 = _check_shapes(x0, 1, suite.p)
-        return AlgorithmState(x=x0, x_prev=np.zeros_like(x0))
+        if x0.shape not in ((suite.n, suite.p), (1, suite.p)):
+            raise EngineError(f"x0 must have shape ({suite.n}, {suite.p}) "
+                              f"or (1, {suite.p}), got {x0.shape}")
+        return AlgorithmState(x=x0[:1], x_prev=np.zeros_like(x0[:1]))
     if len(cfg.alphas) != suite.n:
         raise EngineError(f"the config has {len(cfg.alphas)} agents, the "
                           f"suite {suite.n}")
-    x0 = _check_shapes(x0, suite.n, suite.p)
+    if x0.shape != (suite.n, suite.p):
+        raise EngineError(f"x0 must have shape ({suite.n}, {suite.p}), got "
+                          f"{x0.shape}")
     grads = suite.stacked_gradient(x0)
     state = AlgorithmState(
         x=x0, x_prev=np.zeros_like(x0), y=grads.copy(), grads=grads
@@ -255,10 +256,6 @@ def transformed_ab_exact_step(state, cfg, suite):
     y_new = cfg.B.entries @ state.y + grads_new - state.grads
     return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
                    z=z_new)
-
-
-def centralized_gd_step(x, alpha, suite):
-    return x - alpha * suite.global_gradient(x)
 
 
 def centralized_hb_step(x, x_prev, alpha, beta, suite):

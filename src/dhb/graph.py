@@ -1,5 +1,7 @@
 """Strongly connected directed/undirected graphs with self-loops at every node."""
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import DhbError
@@ -82,6 +84,8 @@ def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directe
         raise GraphError("need 1 <= ring_degree < n")
     if not (0.0 <= extra_link_fraction <= 1.0):
         raise GraphError("extra_link_fraction must be in [0, 1]")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise GraphError(f"seed must be an integer >= 0, not {seed!r}")
 
     rng = np.random.default_rng(seed)
     edges = set()

@@ -124,6 +124,10 @@ def validate_config(data):
             raise ConfigError(f"unknown engine kind {e['kind']!r}")
         if "tune" in e:
             _check_keys(f"engines[{i}].tune", e["tune"], "tune")
+            fixed = sorted({"alpha", "beta"} & set(e))
+            if fixed:
+                raise ConfigError(f"engines[{i}] sets {fixed} and a tune "
+                                  "grid; give one or the other")
         if "W" in eng.ENGINE_WEIGHTS[e["kind"]] and data["graph"]["directed"]:
             raise ConfigError(
                 f"engine {e['kind']!r} needs doubly-stochastic weights and "
@@ -199,21 +203,19 @@ def _out_dir(cfg, out_dir):
 
 
 def _resolve_engines(cfg, suite, mats, x0, cache):
-    """(kind, alpha, beta, engine config, x0) of each engine, with fixed,
+    """(kind, alpha, beta, engine config) of each engine, with fixed,
     default or grid-searched parameters, every one checked by make_config
-    before the caller runs any; tuning runs through `cache`. A kind without
-    weight slots is centralized and starts from the first agent's x0."""
+    before the caller runs any; tuning runs through `cache`."""
     run_cfg = cfg["run"]
     resolved = []
     for ecfg in cfg["engines"]:
         kind = ecfg["kind"]
         matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
-        ex0 = x0 if matrices else x0[:1]
         alpha = ecfg.get("alpha")
         beta = ecfg.get("beta", 0.0)
         if "tune" in ecfg:
             alpha, beta, _ = eng.tune_parameters(
-                kind, suite, ex0, ecfg["tune"]["alpha_grid"],
+                kind, suite, x0, ecfg["tune"]["alpha_grid"],
                 ecfg["tune"].get("beta_grid", [0.0]),
                 run_cfg["max_iter"], run_cfg["stop_residual"], cache=cache,
                 **matrices,
@@ -234,7 +236,7 @@ def _resolve_engines(cfg, suite, mats, x0, cache):
         # report the largest alpha and beta the engine runs with;
         # make_config zeroes beta for ab, gd
         resolved.append((kind, float(np.max(engine_cfg.alphas)),
-                         float(np.max(engine_cfg.betas)), engine_cfg, ex0))
+                         float(np.max(engine_cfg.betas)), engine_cfg))
     return resolved
 
 
@@ -247,9 +249,9 @@ def _run_engines(cfg, suite, mats, x0):
     max_iter, threshold = cfg["run"]["max_iter"], cfg["run"]["stop_residual"]
     cache = {}
     runs = []
-    for kind, alpha, beta, engine_cfg, ex0 in _resolve_engines(
+    for kind, alpha, beta, engine_cfg in _resolve_engines(
             cfg, suite, mats, x0, cache):
-        trace = eng.run(engine_cfg, suite, ex0, max_iter, threshold,
+        trace = eng.run(engine_cfg, suite, x0, max_iter, threshold,
                         cache=cache)
         iters = iterations_to_threshold(trace, threshold)
         runs.append(({"engine": kind, "alpha": alpha, "beta": beta,
@@ -264,7 +266,7 @@ def tune_engines(cfg):
     without a tune grid."""
     suite, mats, x0 = _prepare(cfg)
     return [(kind, alpha, beta) if "tune" in e else (kind, None, None)
-            for e, (kind, alpha, beta, _, _) in zip(
+            for e, (kind, alpha, beta, _) in zip(
                 cfg["engines"], _resolve_engines(cfg, suite, mats, x0, {}))]
 
 

@@ -31,6 +31,12 @@ def trajectory(cfg, suite, x0, steps):
     return xs, state
 
 
+def gd_step(x, alpha, suite):
+    """Plain gradient descent on the global cost: the oracle for gd, which
+    runs as centralized_hb_step at beta = 0."""
+    return x - alpha * suite.global_gradient(x)
+
+
 def test_single_agent_momentum_equals_centralized_heavy_ball():
     rng = np.random.default_rng(2)
     suite = obj.quadratic_suite(
@@ -239,7 +245,7 @@ def test_addopt_single_agent_is_gradient_descent():
     xs, _ = trajectory(cfg, suite, x0, 30)
     x = x0[0].copy()
     for k in range(30):
-        x = eng.centralized_gd_step(x, 0.1, suite)
+        x = gd_step(x, 0.1, suite)
         assert np.allclose(xs[k + 1][0], x, atol=1e-14)
 
 
@@ -262,7 +268,7 @@ def test_frost_single_agent_is_gradient_descent():
     xs, _ = trajectory(cfg, suite, x0, 30)
     x = x0[0].copy()
     for k in range(30):
-        x = eng.centralized_gd_step(x, 0.1, suite)
+        x = gd_step(x, 0.1, suite)
         assert np.allclose(xs[k + 1][0], x, atol=1e-14)
 
 
@@ -276,7 +282,7 @@ def test_frost_converges_on_directed_graph():
 def test_centralized_gd_one_step_on_unit_quadratic():
     # f(x) = x^2 / 2: gradient x, step 1 lands on the minimizer
     suite = obj.quadratic_suite([[0.5]], [[0.0]])
-    x = eng.centralized_gd_step(np.array([3.7]), 1.0, suite)
+    x = gd_step(np.array([3.7]), 1.0, suite)
     assert np.allclose(x, 0.0)
 
 
@@ -289,7 +295,7 @@ def test_gd_contraction_factor():
         sigma = max(abs(1 - suite.mu * alpha), abs(1 - suite.lip * alpha))
         x = rng.standard_normal(4)
         x_star = suite.minimizer()
-        x_new = eng.centralized_gd_step(x, alpha, suite)
+        x_new = gd_step(x, alpha, suite)
         assert (np.linalg.norm(x_new - x_star)
                 <= sigma * np.linalg.norm(x - x_star) + 1e-12)
 
@@ -301,7 +307,7 @@ def test_heavy_ball_zero_momentum_is_gd():
     )
     x = rng.standard_normal(3)
     x_hb, _ = eng.centralized_hb_step(x, np.zeros(3), 0.1, 0.0, suite)
-    assert np.array_equal(x_hb, eng.centralized_gd_step(x, 0.1, suite))
+    assert np.array_equal(x_hb, gd_step(x, 0.1, suite))
 
 
 def test_run_zero_iterations_records_initial_state():
@@ -493,6 +499,29 @@ def test_engine_registry_entry(kind):
             hs.validate_config(config)
     else:
         hs.validate_config(config)
+
+
+def test_tuning_scores_a_point_make_config_rejects_as_never_converging():
+    _, A, B, suite, x0 = make_setup(5, 2, seed=34)
+    with pytest.raises(eng.EngineError):
+        eng.make_config("ab", 5, 0.0, A=A, B=B)
+    alpha, beta, iters = eng.tune_parameters(
+        "ab", suite, x0, [0.0, 0.02], [0.0], 20000, 1e-6, A=A, B=B)
+    assert (alpha, beta) == (0.02, 0.0) and iters is not None
+
+
+def test_centralized_kinds_start_from_the_first_row_of_x0():
+    _, _, _, suite, x0 = make_setup(6, 2, seed=33)
+    for kind in ("gd", "heavy_ball"):
+        cfg = eng.make_config(kind, 6, 0.1, 0.3)
+        runs = [eng.run(cfg, suite, start, 50) for start in (x0, x0[:1])]
+        full, first = ([(r.k, r.residual, r.tracking_error)
+                        for r in trace.records] for trace in runs)
+        assert full == first and len(full) == 51
+        for bad in (x0[:2], x0[:, :1], x0[0]):
+            with pytest.raises(eng.EngineError,
+                               match=r"\(6, 2\) or \(1, 2\)"):
+                eng.run(cfg, suite, bad, 5)
 
 
 def test_run_overflowing_iterate_ends_on_one_inf_record():

@@ -98,6 +98,13 @@ def test_parameter_validation():
         gr.generate_nearest_neighbor(5, 2, 1.5, 0, True)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    for seed in (-1, 1.5, "1", None):
+        with pytest.raises(gr.GraphError, match="seed"):
+            gr.generate_nearest_neighbor(5, 2, 0.0, seed, True)
+    gr.generate_nearest_neighbor(5, 2, 0.0, np.int64(3), True)
+
+
 @pytest.mark.parametrize("edges, match", [
     ([(0, 1, 2)], "pairs"), ([(0,)], "pairs"), ([[0, 1], [1]], "pairs"),
     ([(0.5, 1)], "integer"), ([0, 1], "pairs"),

@@ -497,6 +497,10 @@ def _set(cfg, path, value):
                               "beta_grid": [float("inf"), 0.3]}),
     (("engines", 0, "tune"), {"alpha_grid": [0.003],
                               "beta_grid": [-0.5, 0.3]}),
+    # a tune grid is an alternative to a fixed alpha or beta
+    (("engines", 1, "tune"), {"alpha_grid": [0.001]}),
+    (("engines", 2), {"kind": "gd", "beta": 0.0,
+                      "tune": {"alpha_grid": [0.01]}}),
 ])
 def test_cli_rejects_mistyped_config(tmp_path, capsys, path, value):
     cfg = _set(json.loads((CONFIGS / "quickstart.json").read_text()), path,
@@ -733,3 +737,43 @@ def test_cli_consensus_exits_2_when_every_form_diverges(tmp_path, capsys):
         assert (out / f"radius_grid_{form}.csv").exists()
         _, residual = read_trace(out / f"trace_consensus_{form}.csv")
         assert residual[-1] > 1e12
+
+
+def test_cli_graph_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["graph-gen", "--n", "10", "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert "seed" in assert_one_error_line(capsys).err
+    assert not out.exists()
+
+
+def test_cli_run_exits_2_when_tuning_finds_nothing(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["run"]["max_iter"] = 50
+    cfg["engines"][0] = {"kind": "abm", "tune": {"alpha_grid": [0.003],
+                                                 "beta_grid": [0.3]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = assert_one_error_line(capsys)
+    assert "tuning found no convergent parameters" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_sweep_and_tune_print_a_line_per_engine(tmp_path, capsys):
+    cfg = base_config(tmp_path, engines=[
+        {"kind": "ab", "alpha": 0.03},
+        {"kind": "abm", "tune": {"alpha_grid": [0.03], "beta_grid": [0.2]}},
+    ])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["sweep", "--config", str(path), "--condition-numbers", "4,9"]
+    assert cli.main(args) == 0
+    rows = hs.run_condition_sweep(cfg, [4.0, 9.0])
+    assert capsys.readouterr().out.splitlines() == [
+        f"Q={row['condition_number']:g} {row['engine']}: "
+        f"iters={row['iterations_to_threshold']}" for row in rows]
+    assert cli.main(["tune", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == ("ab: no tune grid, skipped\n"
+                                       "abm: alpha=0.03 beta=0.2\n")
