@@ -29,13 +29,16 @@ PAIRS = 10
 METRICS = {"wall_s": "lower", "setup_s": "lower",
            "agent_iters_per_s": "higher", "peak_rss_mb": "lower"}
 # label -> (kind, graph (n, ring degree, extra-link fraction, seed,
-# directed), iterations): abm and ab on the reference graph (n = 50) and
-# the large_ring workload's graph (n = 500), ds_tracking on undirected
-# graphs; each run has a fixed length.
+# directed), iterations): abm and ab on the reference graph (n = 50), abm
+# on rings like the large_ring workload's (n = 500) at n = 200, near where
+# A and B switch to in-neighbor products, and at n = 1000, ds_tracking on
+# undirected graphs; each run has a fixed length.
 MICRO_RUNS = {
     "abm n=50": ("abm", (50, 6, 0.1, 17, True), 20000),
     "ab n=50": ("ab", (50, 6, 0.1, 17, True), 20000),
+    "abm n=200": ("abm", (200, 3, 3e-4, 1, True), 5000),
     "abm n=500": ("abm", (500, 3, 3e-4, 1, True), 2000),
+    "abm n=1000": ("abm", (1000, 3, 3e-4, 1, True), 1000),
     "ds_tracking n=20": ("ds_tracking", (20, 2, 0.05, 7, False), 20000),
     "ds_tracking n=200": ("ds_tracking", (200, 2, 0.05, 7, False), 5000),
 }

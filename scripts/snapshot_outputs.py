@@ -29,7 +29,8 @@ def generated_configs():
     need no doubly-stochastic weights on quickstart's directed quadratic
     problem, and ds_tracking, extra, gd and heavy_ball on an undirected
     logistic one. Each holds one tuned centralized kind and one with its
-    default parameters."""
+    default parameters. A third, a short fixed-length abm run on a directed
+    n = 500 ring, applies A and B through their in-neighbor products."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -55,7 +56,14 @@ def generated_configs():
                                         "beta_grid": [0.0, 0.3]}},
     ]
     logistic["run"]["max_iter"] = 20000
-    return {"directed_quadratic": directed, "undirected_logistic": logistic}
+    ring = copy.deepcopy(quickstart)
+    ring["graph"] = {"n": 500, "ring_degree": 3, "extra_link_fraction": 3e-4,
+                     "directed": True, "seed": 1}
+    ring["objective"].update(p=2, seed=19)
+    ring["engines"] = [{"kind": "abm", "alpha": 0.002, "beta": 0.4}]
+    ring["run"].update(max_iter=2000, stop_residual=0.0)
+    return {"directed_quadratic": directed, "undirected_logistic": logistic,
+            "sparse_ring": ring}
 
 
 def commands():
@@ -78,6 +86,7 @@ def commands():
          ["tune"]),
         ("run_undirected_logistic", generated["undirected_logistic"],
          ["run"]),
+        ("run_sparse_ring", generated["sparse_ring"], ["run"]),
     ]
 
 

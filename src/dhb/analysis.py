@@ -89,6 +89,9 @@ class _Records(Sequence):
         return len(self._columns[0])
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_record(*row) for row in
+                    zip(*(col[i] for col in self._columns))]
         return _record(*(col[i] for col in self._columns))
 
 

@@ -4,7 +4,9 @@ Each kind's step function consumes a state and returns a new one: one
 synchronous round of neighbor exchange plus local updates at all agents.
 run() computes the kinds on abm_step (abm, ab, ds_tracking) with a fused
 stepper instead, which applies abm_step's operations in place in blocks of
-preallocated buffers; the step functions stay the per-step definition.
+preallocated buffers, and A and B through their multiplier callables (a
+matmul, or on a large sparse graph a gather of in-neighbors); the step
+functions stay the per-step definition.
 """
 
 import hashlib
@@ -386,7 +388,7 @@ def _fused_abm(state, cfg, suite, x_star):
     gradients, whose rows 0 and 1 are the two records before the block."""
     n, p = state.x.shape
     rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
-    a, b = cfg.A.entries, cfg.B.entries
+    a, b = cfg.A.multiplier(p), cfg.B.multiplier(p)
     X, Y, G = (np.empty((rows + 2, n, p)) for _ in range(3))
     X[0], X[1], Y[1], G[1] = state.x_prev, state.x, state.y, state.grads
     xs, ys, gs, tmp = list(X), list(Y), list(G), np.empty((n, p))
@@ -399,14 +401,14 @@ def _fused_abm(state, cfg, suite, x_star):
         hi = lo + m
         for i in range(2, hi):
             x, y, x_new, y_new = xs[i - 1], ys[i - 1], xs[i], ys[i]
-            np.matmul(a, x, out=x_new)
+            a(x, x_new)
             np.multiply(alphas, y, out=tmp)
             np.subtract(x_new, tmp, out=x_new)
             np.subtract(x, xs[i - 2], out=tmp)
             np.multiply(betas, tmp, out=tmp)
             np.add(x_new, tmp, out=x_new)
             suite.stacked_gradient(x_new, out=gs[i])
-            np.matmul(b, y, out=y_new)
+            b(y, y_new)
             np.add(y_new, gs[i], out=y_new)
             np.subtract(y_new, gs[i - 1], out=y_new)
         residuals = average_residual(X[lo:hi], x_star)

@@ -156,6 +156,16 @@ def test_trace_records_view():
     assert len(records) == 4 and records[-1].tracking_error is None
 
 
+def test_trace_records_slice_is_a_list_of_records():
+    trace = an.Trace()
+    trace.append(0, 2.0, 0.5, 0.1)
+    trace.append(1, 1.0, None, 0.2)
+    records = trace.records
+    assert records[1:] == [an.TraceRecord(1, 1.0, None, 0.2)]
+    assert records[::-1] == list(reversed(records))
+    assert records[5:] == []
+
+
 def test_columns_match_per_record_definitions():
     def first_below(trace, threshold):
         for r in trace.records:

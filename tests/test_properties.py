@@ -1,5 +1,7 @@
 """Properties that hold on every generated graph, checked on random draws."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -97,3 +99,37 @@ def test_ab_extra_form_equals_ab(g, seed):
         s_ab = eng.ab_step(s_ab, cfg_ab, suite)
         s_ex = eng.ab_extra_form_step(s_ex, cfg_ex, suite)
         assert np.max(np.abs(s_ab.x - s_ex.x)) <= 1e-9
+
+
+@st.composite
+def graphs_either_side(draw):
+    """Graphs of up to 40 agents (dense products) and sparse rings of
+    300-600 agents (in-neighbor products at the default ratio)."""
+    if draw(st.booleans()):
+        return draw(graphs())
+    n = draw(st.integers(300, 600))
+    return gr.generate_nearest_neighbor(
+        n, draw(st.integers(1, 3)), draw(st.floats(0.0, 1e-3)),
+        draw(st.integers(0, 2**16)), draw(st.booleans()))
+
+
+@PROPERTY_SETTINGS
+@given(graphs_either_side(), st.integers(1, 3), st.integers(0, 2**16))
+def test_multiplier_matches_dense_product(g, p, seed):
+    mats = [wt.uniform_row_stochastic(g), wt.uniform_column_stochastic(g)]
+    if g.is_undirected():
+        mats.append(wt.laplacian_doubly_stochastic(g))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((g.n, p)) * 10.0 ** rng.uniform(-3, 3)
+    d = np.max(np.sum(g.mask, axis=1))
+    for w in mats:
+        assert w.sparse == (g.n >= wt.NEIGHBOR_MIN_RATIO * d)
+        # two roundings of at most d terms each, weighted by the row sums
+        tol = (d * np.finfo(float).eps * np.max(np.abs(x))
+               * np.max(w.entries.sum(axis=1)))
+        # the side the rule picks, then each side forced on the same matrix
+        for ratio in (wt.NEIGHBOR_MIN_RATIO, 0, np.inf):
+            with mock.patch.object(wt, "NEIGHBOR_MIN_RATIO", ratio):
+                out = np.full((g.n, p), np.nan)
+                assert w.multiplier(p)(x, out) is out
+                assert np.max(np.abs(out - w.entries @ x)) <= tol
