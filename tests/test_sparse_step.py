@@ -25,10 +25,6 @@ def _workloads():
     return module
 
 
-def weights_of(graph_cfg):
-    return hs.build_weights(hs.build_graph(graph_cfg), {"A", "B"})
-
-
 @pytest.mark.parametrize("source, sparse", [
     ("large_ring", True), ("tuned_momentum", False), ("quickstart", False)])
 def test_side_selection(source, sparse):
@@ -37,7 +33,7 @@ def test_side_selection(source, sparse):
     else:
         workloads = _workloads()
         cfg = workloads.WORKLOADS[source].make_config(workloads.DEFAULT_SEED)
-    mats = weights_of(cfg["graph"])
+    mats = hs.build_weights(hs.build_graph(cfg["graph"]), {"A", "B"})
     assert [mats[s].sparse for s in "AB"] == [sparse, sparse]
 
 
