@@ -76,7 +76,7 @@ def micro(repeats=5):
         analysis.iterate(
             engines.init_state(cfg, suite, x0), lambda s: step(s, cfg, suite),
             lambda s: (average_residual(s.x, x_star),
-                       engines.tracking_error(s, suite)),
+                       engines.tracking_error(s.y, s.grads)),
             iters, 0.0, {})
 
     us = {}
@@ -100,9 +100,13 @@ def micro(repeats=5):
 
 
 def micro_in(checkout):
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
-    out = subprocess.run([sys.executable, __file__, "--micro"], env=env,
-                         capture_output=True, text=True, check=True)
+    """micro() of the checkout's own copy of this script, on its own dhb,
+    since the two sides' engines need not share an interface."""
+    checkout = Path(checkout).resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = subprocess.run(
+        [sys.executable, str(checkout / "scripts" / "bench_pairs.py"),
+         "--micro"], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 

@@ -3,6 +3,7 @@
 byte-identity check between two checkouts.
 
     python3 scripts/snapshot_outputs.py OUT_DIR
+    python3 scripts/snapshot_outputs.py --against REF OUT_DIR
 
 Each command below runs in its own directory OUT_DIR/<name>, from a copy of
 its config there and with relative paths, so no checkout path reaches the
@@ -10,14 +11,23 @@ outputs. The directory keeps the config, `stdout.txt`, `exit_code.txt` and
 the files the command wrote; the `elapsed_s` column is dropped from every
 trace CSV, since it is wall time. Two checkouts produce the same outputs
 when `diff -r` of their snapshots is empty.
+
+With `--against REF` (a git commit, e.g. HEAD), REF is extracted with
+`git archive` into a temporary directory, and its own snapshot script
+writes OUT_DIR/ref while this checkout's writes OUT_DIR/this. Every file
+that differs or is in one snapshot only is listed, and the exit code is 1
+if there is any, else 0.
 """
 
 import argparse
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,15 +127,53 @@ def snapshot(out_dir):
         print(f"{name}: exit {done.returncode}", flush=True)
 
 
+def snapshot_of(ref, out_dir):
+    """Snapshot by the snapshot script of commit `ref` of this repository,
+    run in a `git archive` of it."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as checkout:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkout, filter="data")
+        subprocess.run([sys.executable,
+                        str(Path(checkout, "scripts", "snapshot_outputs.py")),
+                        str(out_dir)], check=True)
+
+
+def differences(a, b):
+    """Relative paths of the files that differ between directories a and b,
+    or that only one of them holds, each with what is wrong."""
+    files = {side: {p.relative_to(root) for p in root.rglob("*")
+                    if p.is_file()} for side, root in (("a", a), ("b", b))}
+    found = [(p, f"only in {a}") for p in files["a"] - files["b"]]
+    found += [(p, f"only in {b}") for p in files["b"] - files["a"]]
+    found += [(p, "differs") for p in files["a"] & files["b"]
+              if (a / p).read_bytes() != (b / p).read_bytes()]
+    return sorted(found)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, help="snapshot directory; "
                         "must not exist yet")
-    out_dir = parser.parse_args().out_dir
-    if out_dir.exists():
-        parser.error(f"{out_dir} already exists")
-    snapshot(out_dir)
+    parser.add_argument("--against", metavar="REF",
+                        help="also snapshot commit REF and compare")
+    args = parser.parse_args()
+    if args.out_dir.exists():
+        parser.error(f"{args.out_dir} already exists")
+    if args.against is None:
+        snapshot(args.out_dir)
+        return 0
+    ref, this = args.out_dir / "ref", args.out_dir / "this"
+    snapshot_of(args.against, ref)
+    snapshot(this)
+    found = differences(ref, this)
+    for path, what in found:
+        print(f"{path}: {what}")
+    print(f"{len(found)} differing or missing files between {args.against} "
+          "and this checkout")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -290,6 +290,7 @@ class EngineSpec:
     weights: tuple = ()         # weight slots read; none means centralized
     scalar_alpha: bool = False  # needs one step-size shared by all agents
     momentum: bool = False      # reads beta; make_config zeroes it otherwise
+    defaults: object = None     # suite -> (alpha, beta) without alpha or grid
 
 
 ENGINES = {
@@ -303,9 +304,11 @@ ENGINES = {
     "transformed_exact": EngineSpec(
         transformed_ab_exact_step, ("A", "B"), scalar_alpha=True
     ),
-    "heavy_ball": EngineSpec(centralized_step, scalar_alpha=True,
-                             momentum=True),
-    "gd": EngineSpec(centralized_step, scalar_alpha=True),
+    "heavy_ball": EngineSpec(
+        centralized_step, scalar_alpha=True, momentum=True,
+        defaults=lambda s: polyak_parameters(s.mu, s.lip)),
+    "gd": EngineSpec(centralized_step, scalar_alpha=True,
+                     defaults=lambda s: (2.0 / (s.mu + s.lip), 0.0)),
 }
 
 # Views of ENGINES by field; run() looks its step up here at call time.
@@ -313,11 +316,12 @@ ENGINE_WEIGHTS = {kind: spec.weights for kind, spec in ENGINES.items()}
 STEP_FUNCTIONS = {kind: spec.step for kind, spec in ENGINES.items()}
 
 
-def tracking_error(state, suite):
-    """Norm of sum_i y_i - sum_i grad f_i(x_i); zero in exact arithmetic
-    for the gradient-tracking engines. A state whose y and grads are
-    m x n x p blocks of records gives the list of their m norms."""
-    v = state.y.sum(axis=-2) - state.grads.sum(axis=-2)
+def tracking_error(y, grads):
+    """Norm of sum_i y_i - sum_i grad f_i(x_i) for an n x p tracker y and
+    the n x p local gradients at x; zero in exact arithmetic for the
+    gradient-tracking engines. m x n x p blocks of records give the list of
+    their m norms."""
+    v = y.sum(axis=-2) - grads.sum(axis=-2)
     if v.ndim == 1:
         return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
     return [math.sqrt(e @ e) for e in v]
@@ -412,8 +416,7 @@ def _fused_abm(state, cfg, suite, x_star):
             np.add(y_new, gs[i], out=y_new)
             np.subtract(y_new, gs[i - 1], out=y_new)
         residuals = average_residual(X[lo:hi], x_star)
-        errors = tracking_error(
-            AlgorithmState(X[lo:hi], y=Y[lo:hi], grads=G[lo:hi]), suite)
+        errors = tracking_error(Y[lo:hi], G[lo:hi])
         for buf in (X, Y, G):
             buf[:2] = buf[hi - 2:hi]
         return residuals.tolist(), errors

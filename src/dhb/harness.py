@@ -128,6 +128,9 @@ def validate_config(data):
             if fixed:
                 raise ConfigError(f"engines[{i}] sets {fixed} and a tune "
                                   "grid; give one or the other")
+        elif "beta" in e and "alpha" not in e:
+            raise ConfigError(f"engines[{i}] sets beta without alpha; give "
+                              "alpha too, or a tune grid")
         if "W" in eng.ENGINE_WEIGHTS[e["kind"]] and data["graph"]["directed"]:
             raise ConfigError(
                 f"engine {e['kind']!r} needs doubly-stochastic weights and "
@@ -178,11 +181,16 @@ def build_weights(g, kinds_needed):
     return out
 
 
+def _objective(cfg):
+    if "objective" not in cfg:
+        raise ConfigError("config has no objective section")
+    return cfg["objective"]
+
+
 def _prepare(cfg):
     """Suite, weight matrices and initial iterate of an engine experiment;
     the matrices are those the configured engines read."""
-    if "objective" not in cfg:
-        raise ConfigError("config has no objective section")
+    ocfg = _objective(cfg)
     if not cfg.get("engines"):
         raise ConfigError("config lists no engines")
     kinds = [e["kind"] for e in cfg["engines"]]
@@ -190,7 +198,7 @@ def _prepare(cfg):
         raise ConfigError("config lists an engine kind more than once")
     g = build_graph(cfg["graph"])
     mats = build_weights(g, {s for k in kinds for s in eng.ENGINE_WEIGHTS[k]})
-    suite = build_objective(cfg["objective"], g.n)
+    suite = build_objective(ocfg, g.n)
     rng = np.random.default_rng(cfg["run"]["seed"])
     return suite, mats, rng.standard_normal((g.n, suite.p))
 
@@ -211,8 +219,7 @@ def _resolve_engines(cfg, suite, mats, x0, cache):
     for ecfg in cfg["engines"]:
         kind = ecfg["kind"]
         matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
-        alpha = ecfg.get("alpha")
-        beta = ecfg.get("beta", 0.0)
+        alpha, beta = ecfg.get("alpha"), ecfg.get("beta", 0.0)
         if "tune" in ecfg:
             alpha, beta, _ = eng.tune_parameters(
                 kind, suite, x0, ecfg["tune"]["alpha_grid"],
@@ -225,13 +232,11 @@ def _resolve_engines(cfg, suite, mats, x0, cache):
                     f"tuning found no convergent parameters for {kind!r}"
                 )
         elif alpha is None:
-            if kind == "gd":
-                alpha = 2.0 / (suite.mu + suite.lip)
-            elif kind == "heavy_ball":
-                alpha, beta = eng.polyak_parameters(suite.mu, suite.lip)
-            else:
+            defaults = eng.ENGINES[kind].defaults
+            if defaults is None:
                 raise ConfigError(
                     f"engine {kind!r} needs alpha or a tune grid")
+            alpha, beta = defaults(suite)
         engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
         # report the largest alpha and beta the engine runs with;
         # make_config zeroes beta for ab, gd
@@ -289,10 +294,9 @@ def run_experiment(cfg, out_dir=None):
         summary.append({**row, "fitted_rate": rate,
                         "termination": trace.meta["termination"]})
     _write_table(summary, os.path.join(out_dir, "summary.csv"))
-    _write_plot_script(
-        [e["kind"] for e in cfg["engines"]],
-        os.path.join(out_dir, "plot_traces.py"),
-    )
+    with open(os.path.join(out_dir, "plot_traces.py"), "w") as f:
+        f.write(_PLOT_TEMPLATE.format(
+            engines=repr([e["kind"] for e in cfg["engines"]])))
     return traces, summary
 
 
@@ -300,15 +304,16 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
     """Tune every engine for each condition number; one summary row per
     (condition number, engine). The suites are quadratics with the
     objective's p and seed."""
-    _, mats, x0 = _prepare(cfg)
-    ocfg = cfg["objective"]
+    ocfg = _objective(cfg)
     if ocfg["kind"] != "quadratic":
-        raise ConfigError(
-            "a condition-number sweep needs a quadratic objective, "
-            f"not {ocfg['kind']!r}"
-        )
+        raise ConfigError("a condition-number sweep needs a quadratic "
+                          f"objective, not {ocfg['kind']!r}")
+    if not condition_numbers:
+        raise ConfigError("a condition-number sweep needs at least one "
+                          "condition number")
     for q in condition_numbers:
         _check_minimum("a condition number", q, 1)
+    _, mats, x0 = _prepare(cfg)
 
     rows = []
     for q in condition_numbers:
@@ -343,10 +348,8 @@ def run_consensus_experiment(cfg, out_dir=None):
             [{"alpha": a, "beta": b, "radius": r} for a, b, r in rows],
             os.path.join(out_dir, f"radius_grid_{form}.csv"),
         )
-        if form == "abmc":
-            sys_ = cns.abmc_build(A, B, alpha, beta)
-        else:
-            sys_ = cns.surplus_build(A, B, alpha)
+        sys_ = (cns.abmc_build(A, B, alpha, beta) if form == "abmc"
+                else cns.surplus_build(A, B, alpha))
         trace = cns.consensus_run(sys_, values, ccfg["max_iter"], ccfg["tol"])
         trace.to_csv(os.path.join(out_dir, f"trace_consensus_{form}.csv"))
         results[form] = {
@@ -356,8 +359,6 @@ def run_consensus_experiment(cfg, out_dir=None):
 
 
 def _write_table(rows, path):
-    if not rows:
-        return
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -391,8 +392,3 @@ ax.legend()
 fig.savefig(os.path.join(HERE, "residuals.png"), dpi=150)
 print("wrote", os.path.join(HERE, "residuals.png"))
 """
-
-
-def _write_plot_script(engine_names, path):
-    with open(path, "w") as f:
-        f.write(_PLOT_TEMPLATE.format(engines=repr(list(engine_names))))

@@ -32,7 +32,8 @@ def per_step(cfg, suite, x0, max_iter, stop_residual):
                 state = step(state, cfg, suite)
             res = obj.average_residual(state.x, x_star)
             if np.isfinite(res):
-                rows.append((k, res, eng.tracking_error(state, suite)))
+                rows.append((k, res, eng.tracking_error(state.y,
+                                                          state.grads)))
             else:
                 rows.append((k, math.inf, None))
             if k > 0 and rows[-1][1] > 1e12:

@@ -279,3 +279,9 @@ def test_consensus_run_past_an_overflow_ends_diverged(form):
     trace = cs.consensus_run(sys_, values, 100)
     assert trace.diverged
     assert trace.records[-1].k < 100
+
+
+def test_grid_search_rejects_an_unknown_form():
+    A, B = make_matrices(4)
+    with pytest.raises(cs.ConsensusError, match="unknown form"):
+        cs.grid_search_params(A, B, [0.1], [0.0], "push_sum")

@@ -556,12 +556,11 @@ def test_measures_equal_norm_expressions_bit_for_bit():
         return np.float64(a).tobytes() == np.float64(b).tobytes()
 
     for x, x_star, y in cases:
-        state = eng.AlgorithmState(x=x, y=y, grads=x)
         with np.errstate(invalid="ignore"):  # inf - inf in the tracker sum
             old = float(np.mean(np.linalg.norm(x - x_star, axis=1)))
             assert same(obj.average_residual(x, x_star), old)
             old = float(np.linalg.norm(y.sum(axis=0) - x.sum(axis=0)))
-            assert same(eng.tracking_error(state, None), old)
+            assert same(eng.tracking_error(y, x), old)
 
 
 def counting_loop(monkeypatch):
@@ -649,5 +648,33 @@ def test_ds_tracking_matches_plain_diging_recursion(seed):
         residuals.append(obj.average_residual(x, x_star))
     assert trace.meta["termination"] == "max_iter"
     assert trace.residuals().tobytes() == np.array(residuals).tobytes()
-    final = eng.AlgorithmState(x=x, y=y, grads=grads)
-    assert trace.records[-1].tracking_error == eng.tracking_error(final, suite)
+    assert trace.records[-1].tracking_error == eng.tracking_error(y, grads)
+
+
+@pytest.mark.parametrize("kind", ["addopt", "frost"])
+def test_degenerate_eigenvector_estimate_never_converges(monkeypatch, kind):
+    _, A, B, suite, x0 = make_setup(5, 2, seed=31)
+    slots = {s: {"A": A, "B": B}[s] for s in eng.ENGINE_WEIGHTS[kind]}
+    cfg = eng.make_config(kind, 5, 0.01, **slots)
+
+    def tune():
+        return eng.tune_parameters(kind, suite, x0, [0.01, 0.02], [0.0],
+                                   5000, 1e-6, **slots)
+
+    assert tune()[0] is not None
+    monkeypatch.setattr(eng, "EIGEN_ESTIMATE_FLOOR", np.inf)
+    with pytest.raises(eng.EngineError, match="degenerated"):
+        eng.STEP_FUNCTIONS[kind](eng.init_state(cfg, suite, x0), cfg, suite)
+    assert tune() == (None, None, None)
+
+
+@pytest.mark.parametrize("kind", sorted(eng.ENGINES))
+def test_only_the_centralized_kinds_have_default_parameters(kind):
+    defaults = eng.ENGINES[kind].defaults
+    if kind not in ("gd", "heavy_ball"):
+        assert defaults is None
+        return
+    _, _, _, suite, _ = make_setup(5, 2, seed=32)
+    expected = {"gd": (2.0 / (suite.mu + suite.lip), 0.0),
+                "heavy_ball": eng.polyak_parameters(suite.mu, suite.lip)}
+    assert defaults(suite) == expected[kind]

@@ -126,3 +126,8 @@ def test_edge_list_round_trip(tmp_path):
     assert g2.n == g.n
     assert g2.edges() == g.edges()
     assert np.array_equal(g2.mask, g.mask)
+
+
+def test_graph_needs_a_node():
+    with pytest.raises(gr.GraphError, match="at least one node"):
+        gr.Digraph(0, [])

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 from pathlib import Path
@@ -501,6 +502,8 @@ def _set(cfg, path, value):
     (("engines", 1, "tune"), {"alpha_grid": [0.001]}),
     (("engines", 2), {"kind": "gd", "beta": 0.0,
                       "tune": {"alpha_grid": [0.01]}}),
+    # a beta needs an alpha beside it
+    (("engines", 3), {"kind": "heavy_ball", "beta": 0.5}),
 ])
 def test_cli_rejects_mistyped_config(tmp_path, capsys, path, value):
     cfg = _set(json.loads((CONFIGS / "quickstart.json").read_text()), path,
@@ -777,3 +780,40 @@ def test_cli_sweep_and_tune_print_a_line_per_engine(tmp_path, capsys):
     assert cli.main(["tune", "--config", str(path)]) == 0
     assert capsys.readouterr().out == ("ab: no tune grid, skipped\n"
                                        "abm: alpha=0.03 beta=0.2\n")
+
+
+def test_sweep_needs_a_condition_number(tmp_path):
+    with pytest.raises(hs.ConfigError, match="at least one condition number"):
+        hs.run_condition_sweep(base_config(tmp_path), [])
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_its_objective_before_building(tmp_path, monkeypatch):
+    built = []
+    for name in ("build_graph", "build_objective"):
+        monkeypatch.setattr(hs, name,
+                            lambda *args, name=name: built.append(name))
+    cfg = base_config(tmp_path)
+    cfg["objective"] = {"kind": "logistic", "m_i": 5, "p": 2, "reg": 0.1,
+                        "seed": 2}
+    with pytest.raises(hs.ConfigError, match="quadratic"):
+        hs.run_condition_sweep(cfg, [10.0])
+    assert built == []
+
+
+def test_centralized_kinds_default_to_their_closed_form_parameters(tmp_path):
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"] = [{"kind": "gd"}, {"kind": "heavy_ball"}]
+    cfg["run"].update(max_iter=10, out_dir=str(tmp_path / "out"))
+    _, summary = hs.run_experiment(hs.validate_config(cfg))
+    assert [(r["engine"], r["alpha"], r["beta"]) for r in summary] == [
+        ("gd", 0.019801980198019802, 0.0),
+        ("heavy_ball", 0.03305785123966942, 0.6694214876033059)]
+
+
+def test_harness_names_no_engine_kind():
+    # the harness reads every per-kind fact from engines.ENGINES
+    tree = ast.parse(Path(hs.__file__).read_text())
+    kinds = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in eng.ENGINES]
+    assert kinds == []

@@ -282,3 +282,27 @@ def test_logistic_rejects_labels_not_one_per_sample():
     features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
     with pytest.raises(obj.ObjectiveError, match="shape"):
         obj.logistic_suite(features, [y[:3] for y in labels], reg=0.1)
+
+
+@pytest.mark.parametrize("mu, lip, match", [
+    (0.0, 1.0, "positive"), (-1.0, 1.0, "positive"),
+    (2.0, 1.0, "must not exceed"),
+], ids=["mu_0", "mu_negative", "mu_above_lip"])
+def test_suite_rejects_constants_out_of_order(mu, lip, match):
+    with pytest.raises(obj.ObjectiveError, match=match):
+        obj.ObjectiveSuite("quadratic", 1, 1, mu, lip)
+
+
+def test_logistic_rejects_features_not_one_matrix_per_agent():
+    features, labels = obj.synthesize_logistic_data(1, 4, 2, seed=1)
+    with pytest.raises(obj.ObjectiveError, match="one sample matrix"):
+        obj.logistic_suite(features[0], labels, reg=0.1)
+
+
+def test_minimizer_raises_short_of_its_tolerance():
+    features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
+    suite = obj.logistic_suite(features, labels, reg=0.1)
+    with pytest.raises(obj.ObjectiveError, match="did not reach tolerance"):
+        obj.global_minimizer(suite, max_iter=1)
+    assert np.linalg.norm(
+        suite.global_gradient(obj.global_minimizer(suite))) < 1e-12

@@ -209,3 +209,13 @@ def test_matrix_is_not_changed_through_the_base_of_a_view():
     base[:, 0] = 0.9
     assert np.array_equal(w.entries, np.full((2, 2), 0.5))
     assert np.array_equal(w.pi_r, pi_r)
+
+
+@pytest.mark.parametrize("entries, kind, match", [
+    (np.full((2, 3), 1.0 / 3.0), wt.ROW, "square"),
+    (np.array([[1.0, 0.0], [0.5, 0.5]]), wt.COLUMN, "column sums"),
+    (np.eye(2), "stochastic", "unknown kind"),
+], ids=["not_square", "column_sums", "unknown_kind"])
+def test_construction_rejects_malformed_matrices(entries, kind, match):
+    with pytest.raises(wt.WeightError, match=match):
+        wt.WeightMatrix(entries, kind)
