@@ -10,7 +10,9 @@ at the benchmark's own run length, in both, one after the other, the first
 of the two alternating from pair to pair so that host drift falls on both
 sides alike. The file holds every pair's end-to-end
 metrics, their medians, the share of pairs that `after` won, and the
-per-iteration cost of engine runs (`--micro`) in each checkout.
+per-iteration cost of engine runs (`--micro`) in each checkout. It is
+rewritten after each workload and after the micro runs, so a failure
+keeps what was measured before it.
 """
 
 import argparse
@@ -134,6 +136,7 @@ def main():
         "nproc": len(os.sched_getaffinity(0)),
         "workloads": {},
     }
+    out = ROOT / f"BENCH_{args.label}.json"
     for workload in WORKLOADS:
         runs = {"before": [], "after": []}
         for i in range(PAIRS):
@@ -157,9 +160,9 @@ def main():
                            / statistics.median(before) - 1),
                 "before_iqr": q3 - q1, "after_wins": f"{wins}/{len(before)}"}
         record["workloads"][workload] = {"summary": summary, "pairs": runs}
+        out.write_text(json.dumps(record, indent=2) + "\n")
     record["us_per_iter"] = {side: micro_in(path)
                              for side, path in sides.items()}
-    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print("wrote", out)
     return 0

@@ -137,6 +137,10 @@ def validate_config(data):
                 "therefore an undirected graph; set graph.directed to false"
             )
     _check_keys("run", data["run"])
+    if data["run"]["stop_residual"] == 0 and any(
+            "tune" in e for e in data.get("engines", [])):
+        raise ConfigError("a tune grid needs run.stop_residual > 0: tuning "
+                          "counts the iterations to that residual")
     if "consensus" in data:
         _check_keys("consensus", data["consensus"])
     return data
@@ -153,7 +157,8 @@ def build_quadratic(n, p, condition_number, seed):
     """Quadratic suite whose global Hessian spectrum is log-spaced between
     1 and the target condition number (so mu = 1, l = condition_number)."""
     rng = np.random.default_rng(seed)
-    targets = 0.5 * n * np.logspace(0, np.log10(condition_number), p)
+    with np.errstate(over="ignore"):  # inf targets: quadratic_suite refuses
+        targets = 0.5 * n * np.logspace(0, np.log10(condition_number), p)
     shares = rng.uniform(0.5, 1.5, size=(n, p))
     shares *= targets / shares.sum(axis=0)
     b_vecs = rng.standard_normal((n, p))
@@ -196,6 +201,9 @@ def _prepare(cfg):
     kinds = [e["kind"] for e in cfg["engines"]]
     if len(set(kinds)) < len(kinds):
         raise ConfigError("config lists an engine kind more than once")
+    for kind, e in zip(kinds, cfg["engines"]):
+        if not ({"alpha", "tune"} & e.keys() or eng.ENGINES[kind].defaults):
+            raise ConfigError(f"engine {kind!r} needs alpha or a tune grid")
     g = build_graph(cfg["graph"])
     mats = build_weights(g, {s for k in kinds for s in eng.ENGINE_WEIGHTS[k]})
     suite = build_objective(ocfg, g.n)
@@ -211,38 +219,35 @@ def _out_dir(cfg, out_dir):
 
 
 def _resolve_engines(cfg, suite, mats, x0, cache):
-    """(kind, alpha, beta, engine config) of each engine, with fixed,
-    default or grid-searched parameters, every one checked by make_config
-    before the caller runs any; tuning runs through `cache`."""
-    run_cfg = cfg["run"]
-    resolved = []
-    for ecfg in cfg["engines"]:
+    """(kind, alpha, beta, engine config) of each engine, in config order: at
+    its tune grid's best point, else its alpha and beta (0 when left out),
+    else its kind's defaults. make_config checks every entry without a grid
+    before any entry is tuned; tuning runs through `cache`."""
+    def resolve(ecfg):
         kind = ecfg["kind"]
         matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
-        alpha, beta = ecfg.get("alpha"), ecfg.get("beta", 0.0)
         if "tune" in ecfg:
             alpha, beta, _ = eng.tune_parameters(
                 kind, suite, x0, ecfg["tune"]["alpha_grid"],
-                ecfg["tune"].get("beta_grid", [0.0]),
-                run_cfg["max_iter"], run_cfg["stop_residual"], cache=cache,
-                **matrices,
+                ecfg["tune"].get("beta_grid", [0.0]), cfg["run"]["max_iter"],
+                cfg["run"]["stop_residual"], cache=cache, **matrices,
             )
             if alpha is None:
                 raise ConfigError(
                     f"tuning found no convergent parameters for {kind!r}"
                 )
-        elif alpha is None:
-            defaults = eng.ENGINES[kind].defaults
-            if defaults is None:
-                raise ConfigError(
-                    f"engine {kind!r} needs alpha or a tune grid")
-            alpha, beta = defaults(suite)
+        elif "alpha" in ecfg:
+            alpha, beta = ecfg["alpha"], ecfg.get("beta", 0.0)
+        else:
+            alpha, beta = eng.ENGINES[kind].defaults(suite)
         engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
         # report the largest alpha and beta the engine runs with;
         # make_config zeroes beta for ab, gd
-        resolved.append((kind, float(np.max(engine_cfg.alphas)),
-                         float(np.max(engine_cfg.betas)), engine_cfg))
-    return resolved
+        return (kind, float(np.max(engine_cfg.alphas)),
+                float(np.max(engine_cfg.betas)), engine_cfg)
+
+    fixed = [None if "tune" in e else resolve(e) for e in cfg["engines"]]
+    return [r or resolve(e) for r, e in zip(fixed, cfg["engines"])]
 
 
 def _run_engines(cfg, suite, mats, x0):

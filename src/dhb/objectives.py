@@ -30,6 +30,8 @@ class ObjectiveSuite:
         self.mu, self.lip = float(mu), float(lip)
         if self.mu <= 0:
             raise ObjectiveError("aggregate strong convexity must be positive")
+        if not self.lip < np.inf:  # NaN fails too
+            raise ObjectiveError("the smoothness constant must be finite")
         if self.mu > self.lip:
             raise ObjectiveError("mu must not exceed the smoothness constant")
         self.condition_number = self.lip / self.mu
@@ -77,7 +79,7 @@ def quadratic_suite(q_diags, b_vecs):
     """
     q_diags = np.atleast_2d(np.asarray(q_diags, dtype=float))
     b_vecs = np.atleast_2d(np.asarray(b_vecs, dtype=float))
-    if not np.all(q_diags > 0):  # NaN fails too
+    if not np.all(q_diags > 0):  # NaN fails too; inf makes lip inf
         raise ObjectiveError("quadratic diagonal must be strictly positive")
     if (q_diags.ndim != 2 or b_vecs.shape != q_diags.shape
             or q_diags.size == 0):
@@ -85,12 +87,17 @@ def quadratic_suite(q_diags, b_vecs):
                              f"shape with n, p >= 1, not {q_diags.shape} and "
                              f"{b_vecs.shape}")
     n, p = q_diags.shape
-    q_sum = q_diags.sum(axis=0)
-    suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,
-                           lip=2.0 * q_sum.max() / n)
+    # a sum past the float range is inf, refused here or as an infinite lip
+    with np.errstate(over="ignore"):
+        q_sum, b_sum = q_diags.sum(axis=0), b_vecs.sum(axis=0)
+        if not np.all(np.isfinite(b_sum)):  # so every b_i is finite too
+            raise ObjectiveError("quadratic linear terms and their sum must "
+                                 "be finite")
+        suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,
+                               lip=2.0 * q_sum.max() / n)
     suite._q2_stack = 2.0 * q_diags  # the 2.0 * q of every gradient
     suite._b_stack = b_vecs
-    suite._q_sum, suite._b_sum = q_sum, b_vecs.sum(axis=0)
+    suite._q_sum, suite._b_sum = q_sum, b_sum
     return suite
 
 

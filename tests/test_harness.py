@@ -665,18 +665,27 @@ def test_cli_rejects_non_finite_steps_before_any_run(tmp_path, capsys,
     assert not list(out.glob("trace_*.csv"))
 
 
-@pytest.mark.parametrize("engine, message", [
-    ({"kind": "ab"}, "needs alpha or a tune grid"),
-    ({"kind": "ab", "alpha": [-0.003] + [0.003] * 19}, "finite"),
-    ({"kind": "ab_extra", "alpha": [0.004] + [0.003] * 19},
-     "identical scalar step-size"),
-], ids=["no_alpha", "negative_alpha", "unequal_alpha"])
+MISTAKES = [({"kind": "ab"}, "needs alpha or a tune grid"),
+            ({"kind": "ab", "alpha": [-0.003] + [0.003] * 19}, "finite"),
+            ({"kind": "ab_extra", "alpha": [0.004] + [0.003] * 19},
+             "identical scalar step-size")]
+TUNED_ABM = {"kind": "abm", "tune": {"alpha_grid": [0.003],
+                                     "beta_grid": [0.0, 0.3]}}
+
+
+@pytest.mark.parametrize(
+    "first, engine, message",
+    [(None, *m) for m in MISTAKES] + [(TUNED_ABM, *m) for m in MISTAKES],
+    ids=["no_alpha", "negative_alpha", "unequal_alpha", "no_alpha_tuned_first",
+         "negative_alpha_tuned_first", "unequal_alpha_tuned_first"])
 def test_cli_checks_every_engine_before_any_run(tmp_path, capsys, monkeypatch,
-                                                engine, message):
-    # engines[0] is valid; the second engine's mistake must stop the run
-    # before abm's final run and before the output directory is made
+                                                first, engine, message):
+    # engines[0] is valid, fixed or tuned; the second engine's mistake must
+    # stop the run before any tuning run, before abm's final run and before
+    # the output directory is made
     runs = log_kinds(monkeypatch, "run")
     cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][0] = first or cfg["engines"][0]
     cfg["engines"][1] = engine
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -684,6 +693,38 @@ def test_cli_checks_every_engine_before_any_run(tmp_path, capsys, monkeypatch,
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert message in assert_one_error_line(capsys).err
     assert runs == []
+    assert not out.exists()
+
+
+def test_cli_refuses_a_tune_grid_without_a_stop_residual(tmp_path, capsys,
+                                                         monkeypatch):
+    # tuning counts iterations to run.stop_residual; at 0 no grid point
+    # ever reaches it, so every one would run to max_iter for nothing
+    runs = log_kinds(monkeypatch, "run")
+    cfg = json.loads((CONFIGS / "quickstart.json").read_text())
+    cfg["engines"][0] = {"kind": "abm", "tune": {"alpha_grid": [0.003, 0.004],
+                                                 "beta_grid": [0.0, 0.3]}}
+    cfg["run"].update(max_iter=50, stop_residual=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("run", "tune"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "stop_residual" in assert_one_error_line(capsys).err
+    assert runs == []
+
+
+@pytest.mark.parametrize("q", [1e308, 1e307],
+                         ids=["inf_diagonal", "inf_sum"])
+def test_cli_sweep_refuses_a_condition_number_past_the_float_range(
+        tmp_path, capsys, q):
+    # on 20 agents, 1e308 overflows build_quadratic's diagonal and 1e307
+    # quadratic_suite's smoothness constant; pytest turns numpy's
+    # RuntimeWarning into a failure, so this also checks that none prints
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(CONFIGS / "quickstart.json"),
+                     "--condition-numbers", str(q), "--out", str(out)]) == 2
+    captured = assert_one_error_line(capsys)
+    assert "smoothness" in captured.err and captured.out == ""
     assert not out.exists()
 
 

@@ -74,9 +74,24 @@ def test_quadratic_condition_number_is_diag_ratio():
 
 
 def test_quadratic_rejects_nonpositive_diagonal():
-    for q in (0.0, float("nan")):
+    for q in (0.0, float("nan"), float("inf")):
         with pytest.raises(obj.ObjectiveError):
             obj.quadratic_suite([[1.0, q]], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("b", [[[0.0, float("nan")], [0.0, 0.0]],
+                               [[float("inf"), 0.0], [0.0, 0.0]],
+                               [[1e308, 0.0], [1e308, 0.0]]],
+                         ids=["nan", "inf", "sum_overflows"])
+def test_quadratic_rejects_non_finite_linear_terms(b):
+    # pytest turns an overflow's RuntimeWarning into a failure
+    with pytest.raises(obj.ObjectiveError, match="linear terms"):
+        obj.quadratic_suite(np.ones((2, 2)), b)
+
+
+def test_quadratic_rejects_a_diagonal_sum_past_the_float_range():
+    with pytest.raises(obj.ObjectiveError, match="smoothness"):
+        obj.quadratic_suite([[1e308, 1.0], [1e308, 1.0]], np.zeros((2, 2)))
 
 
 def test_logistic_value_at_zero_is_log_two():
@@ -287,7 +302,8 @@ def test_logistic_rejects_labels_not_one_per_sample():
 @pytest.mark.parametrize("mu, lip, match", [
     (0.0, 1.0, "positive"), (-1.0, 1.0, "positive"),
     (2.0, 1.0, "must not exceed"),
-], ids=["mu_0", "mu_negative", "mu_above_lip"])
+    (1.0, float("inf"), "finite"), (1.0, float("nan"), "finite"),
+], ids=["mu_0", "mu_negative", "mu_above_lip", "lip_inf", "lip_nan"])
 def test_suite_rejects_constants_out_of_order(mu, lip, match):
     with pytest.raises(obj.ObjectiveError, match=match):
         obj.ObjectiveSuite("quadratic", 1, 1, mu, lip)
