@@ -9,10 +9,12 @@ benchmark workload, pair i (0-9) runs `bench/run.py --trace 0 --seed i`,
 at the benchmark's own run length, in both, one after the other, the first
 of the two alternating from pair to pair so that host drift falls on both
 sides alike. The file holds every pair's end-to-end
-metrics, their medians, the share of pairs that `after` won, and the
-per-iteration cost of engine runs (`--micro`) in each checkout. It is
-rewritten after each workload and after the micro runs, so a failure
-keeps what was measured before it.
+metrics, their medians, the share of pairs that `after` won, the
+per-iteration cost of engine runs (`--micro`) in each checkout, and the
+minor page faults of each workload's set-up (`--setup-faults`) in
+FAULT_RUNS alternating runs per side. It is rewritten after each workload
+and after the micro and fault runs, so a failure keeps what was measured
+before it.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("tuned_momentum", "large_ring", "consensus_grid")
 PAIRS = 10
+FAULT_RUNS, FAULT_SECONDS = 3, 10
 METRICS = {"wall_s": "lower", "setup_s": "lower",
            "agent_iters_per_s": "higher", "peak_rss_mb": "lower"}
 # label -> (kind, graph (n, ring degree, extra-link fraction, seed,
@@ -112,6 +115,44 @@ def micro_in(checkout):
     return json.loads(out.stdout)
 
 
+def setup_faults(workload):
+    """bench/run.py's measure() of one workload at seed 0, in the checkout
+    that is the working directory, counting the minor page faults of each
+    set-up: set-up time follows whether its n x n weights land on pages
+    the heap already holds. Prints setup_s and the faults as JSON."""
+    import resource
+    import tempfile
+    sys.path[:0] = ["bench", "src"]
+    import run
+    import workloads
+
+    faults, time_setup = [], run.time_setup
+
+    def counted(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sample = time_setup(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+        return sample
+
+    run.time_setup = counted
+    with tempfile.TemporaryDirectory() as out:
+        _, metrics, *_ = run.measure(workloads.WORKLOADS[workload], 0,
+                                     FAULT_SECONDS, False, Path(out))
+    print(json.dumps({"setup_s": metrics["setup_s"][0], "setups": len(faults),
+                      "faults_median": statistics.median(faults),
+                      "faults_mean": statistics.mean(faults)}))
+
+
+def setup_faults_in(checkout, workload):
+    """setup_faults() of this script, run in the checkout on its own dhb
+    and benchmark."""
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--setup-faults",
+         workload], cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", help="checkout of the parent commit")
@@ -120,9 +161,15 @@ def main():
     parser.add_argument("--micro", action="store_true",
                         help="print the per-iteration costs of the dhb on "
                              "PYTHONPATH and exit")
+    parser.add_argument("--setup-faults", metavar="WORKLOAD",
+                        help="print the set-up faults of WORKLOAD in the "
+                             "checkout that is the working directory and "
+                             "exit")
     args = parser.parse_args()
     if args.micro:
         return micro()
+    if args.setup_faults:
+        return setup_faults(args.setup_faults)
     if not (args.before and args.after and args.label):
         parser.error("--before, --after and --label are required")
     import numpy as np
@@ -164,6 +211,14 @@ def main():
     record["us_per_iter"] = {side: micro_in(path)
                              for side, path in sides.items()}
     out.write_text(json.dumps(record, indent=2) + "\n")
+    record["setup_faults"] = {}
+    for workload in WORKLOADS:
+        runs = record["setup_faults"][workload] = {"before": [], "after": []}
+        for i in range(FAULT_RUNS):
+            order = ("before", "after") if i % 2 == 0 else ("after", "before")
+            for side in order:
+                runs[side].append(setup_faults_in(sides[side], workload))
+        out.write_text(json.dumps(record, indent=2) + "\n")
     print("wrote", out)
     return 0
 

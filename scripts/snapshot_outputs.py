@@ -40,7 +40,9 @@ def generated_configs():
     problem, and ds_tracking, extra, gd and heavy_ball on an undirected
     logistic one. Each holds one tuned centralized kind and one with its
     default parameters. A third, a short fixed-length abm run on a directed
-    n = 500 ring, applies A and B through their in-neighbor products."""
+    n = 500 ring, applies A and B through their in-neighbor products; two
+    shorter ones on that ring at p = 1 and p = 9 reach the recording's
+    other branches (an agent sum at p = 1, a residual at p >= 8)."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -72,8 +74,13 @@ def generated_configs():
     ring["objective"].update(p=2, seed=19)
     ring["engines"] = [{"kind": "abm", "alpha": 0.002, "beta": 0.4}]
     ring["run"].update(max_iter=2000, stop_residual=0.0)
-    return {"directed_quadratic": directed, "undirected_logistic": logistic,
-            "sparse_ring": ring}
+    configs = {"directed_quadratic": directed,
+               "undirected_logistic": logistic, "sparse_ring": ring}
+    for p in (1, 9):
+        width = configs[f"sparse_ring_p{p}"] = copy.deepcopy(ring)
+        width["objective"]["p"] = p
+        width["run"]["max_iter"] = 500
+    return configs
 
 
 def commands():
@@ -97,6 +104,8 @@ def commands():
         ("run_undirected_logistic", generated["undirected_logistic"],
          ["run"]),
         ("run_sparse_ring", generated["sparse_ring"], ["run"]),
+        ("run_sparse_ring_p1", generated["sparse_ring_p1"], ["run"]),
+        ("run_sparse_ring_p9", generated["sparse_ring_p9"], ["run"]),
     ]
 
 

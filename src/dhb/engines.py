@@ -43,14 +43,14 @@ class EngineConfig:
     def digest(self):
         """Hash of the numbers the step reads: step-sizes, momenta, weights.
         The kind is not in it, so ab and abm at beta = 0 share it."""
-        weights = (None if m is None else m.entries
+        weights = (None if m is None else m.digest
                    for m in (self.A, self.B, self.W))
         return _digest(self.alphas, self.betas, *weights, self.W_tilde)
 
 
 def _digest(*arrays):
-    """sha256 hex of arrays hashed in place, not copied; None hashes as a
-    placeholder, so an absent weight slot keeps its place."""
+    """sha256 hex of arrays (or bytes) hashed in place, not copied; None
+    hashes as a placeholder, so an absent weight slot keeps its place."""
     h = hashlib.sha256()
     for a in arrays:
         h.update(b"-" if a is None else np.ascontiguousarray(a).data)
@@ -321,10 +321,22 @@ def tracking_error(y, grads):
     the n x p local gradients at x; zero in exact arithmetic for the
     gradient-tracking engines. m x n x p blocks of records give the list of
     their m norms."""
-    v = y.sum(axis=-2) - grads.sum(axis=-2)
+    v = _agent_sum(y) - _agent_sum(grads)
     if v.ndim == 1:
         return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
     return [math.sqrt(e @ e) for e in v]
+
+
+def _agent_sum(a):
+    """a.sum(axis=-2), bit for bit. On m x n x p blocks with p >= 2 it adds
+    the agents in order, as this does on an agent-major copy (each agent's
+    p floats moved as one item), in loops of m p floats rather than p."""
+    if a.ndim == 2 or a.shape[-1] == 1:  # at p = 1 a fast pairwise sum
+        return a.sum(axis=-2)
+    m, n, p = a.shape
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, 8 * p)))[..., 0]
+    by_agent = np.ascontiguousarray(rows.T).view(float)  # n x m p
+    return np.add.reduce(by_agent, axis=0).reshape(m, p)
 
 
 def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):

@@ -95,9 +95,12 @@ def quadratic_suite(q_diags, b_vecs):
                                  "be finite")
         suite = ObjectiveSuite("quadratic", n, p, mu=2.0 * q_sum.min() / n,
                                lip=2.0 * q_sum.max() / n)
+        x_star = -b_sum / (2.0 * q_sum)  # a tiny q_i can overflow it
+    if not np.all(np.isfinite(x_star)):
+        raise ObjectiveError("the minimizer -b_sum / (2 q_sum) must be finite")
     suite._q2_stack = 2.0 * q_diags  # the 2.0 * q of every gradient
     suite._b_stack = b_vecs
-    suite._q_sum, suite._b_sum = q_sum, b_sum
+    suite._q_sum, suite._b_sum, suite._minimizer = q_sum, b_sum, x_star
     return suite
 
 
@@ -159,7 +162,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
     Returns x* with ||grad F(x*)|| < tol.
     """
     if suite.kind == "quadratic":
-        return -suite._b_sum / (2.0 * suite._q_sum)
+        return suite._minimizer  # the closed form, which quadratic_suite takes
     x = np.zeros(suite.p)
     for _ in range(max_iter):
         g = suite.global_gradient(x)
@@ -186,6 +189,11 @@ def average_residual(x_stack, x_star):
     d = np.atleast_2d(x_stack) - x_star
     # the sums, roots and division of mean(norm(d, axis=1)), bit for bit,
     # without their dispatch overhead; an array for m x n x p records
-    res = (np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), axis=-1)
-           / d.shape[-2])
+    if d.shape[-1] >= 8:  # numpy's reduce over p is pairwise from 8 terms
+        sq = np.add.reduce(d * d, axis=-1)
+    else:  # and left to right below, as this loop is, without its overhead
+        sq = d[..., 0] * d[..., 0]
+        for c in range(1, d.shape[-1]):
+            sq += d[..., c] * d[..., c]
+    res = np.add.reduce(np.sqrt(sq), axis=-1) / d.shape[-2]
     return res if res.ndim else float(res)

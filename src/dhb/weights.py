@@ -1,5 +1,6 @@
 """Row-, column-, and doubly-stochastic weight matrices for a given graph."""
 
+import hashlib
 from functools import cached_property
 
 import numpy as np
@@ -15,12 +16,12 @@ DOUBLY = "doubly"
 STOCHASTIC_TOL = 1e-12
 
 # multiplier() gathers in-neighbors when n >= NEIGHBOR_MIN_RATIO * d, for
-# d the largest in-degree (self-loop included). Measured per n x 2 product
-# (2 cores, numpy 2.4.6): dense 7.6-8.9 us and gathered 8.6-10.2 us at
-# n = 200, d = 6; dense 57-72 us and gathered 18-23 us at n = 500, d = 7;
-# dense 1.3-2.7 us and gathered 6-9 us at n = 50, d = 16-17. The gather
-# costs about 3 numpy calls plus n d p flops, the dense product n^2 p, so
-# they cross near n = 40 d.
+# d the largest in-degree (self-loop included). Per n x 2 product (medians
+# of 10 x 2,000, 3 runs, 2 cores, numpy 2.4.6): dense 8.0-10.3 us and
+# gathered 7.6-10.8 us at n = 200, d = 6; dense 59-69 us and gathered
+# 13-16 us at n = 500, d = 7; dense 1.6-2.8 us and gathered 6.9-8.7 us at
+# n = 50, d = 17. The gather costs 3 numpy calls plus n d p flops, the
+# dense product n^2 p, so they cross near n = 40 d.
 NEIGHBOR_MIN_RATIO = 40
 
 
@@ -79,6 +80,11 @@ class WeightMatrix:
     pi_c = property(lambda self: self._perron[1])
 
     @cached_property
+    def digest(self):
+        """sha256 of the frozen entries, which the run cache keys runs on."""
+        return hashlib.sha256(np.ascontiguousarray(self.entries).data).digest()
+
+    @cached_property
     def _in_neighbors(self):
         """(d, n) index and weight arrays: index[s, i] is agent i's s-th
         in-neighbor j, in increasing order, and weight[s, i] is W[i, j]; an
@@ -105,14 +111,13 @@ class WeightMatrix:
             entries = self.entries
             return lambda x, out: np.matmul(entries, x, out=out)
         index, weight = self._in_neighbors
-        # flat positions of x[index[s, i], c] in x.ravel(), and the weights
-        # along them; buf holds the d products of each agent
-        flat = index[:, :, None] * p + np.arange(p)
+        # buf[s, i] holds row index[s, i] of x, then its product with
+        # W[i, index[s, i]]: the d products of each agent
         weight = np.repeat(weight[:, :, None], p, axis=2)
-        buf = np.empty(flat.shape)
+        buf = np.empty(weight.shape)
 
         def apply(x, out):
-            np.take(x.ravel(), flat, out=buf, mode="clip")
+            np.take(x, index, axis=0, out=buf, mode="clip")
             np.multiply(buf, weight, out=buf)
             return np.add.reduce(buf, axis=0, out=out)
 

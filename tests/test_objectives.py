@@ -94,6 +94,12 @@ def test_quadratic_rejects_a_diagonal_sum_past_the_float_range():
         obj.quadratic_suite([[1e308, 1.0], [1e308, 1.0]], np.zeros((2, 2)))
 
 
+def test_quadratic_rejects_a_minimizer_past_the_float_range():
+    # mu = l = 2e-300 are fine, but -b / (2 q) overflows
+    with pytest.raises(obj.ObjectiveError, match="minimizer"):
+        obj.quadratic_suite([[1e-300]], [[1e10]])
+
+
 def test_logistic_value_at_zero_is_log_two():
     # single sample with zero features, label +1: exp(0) = 1
     assert np.isclose(
