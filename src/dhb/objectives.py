@@ -162,7 +162,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
     Returns x* with ||grad F(x*)|| < tol.
     """
     if suite.kind == "quadratic":
-        return suite._minimizer  # the closed form, which quadratic_suite takes
+        return suite._minimizer  # the closed form; quadratic_suite checks it
     x = np.zeros(suite.p)
     for _ in range(max_iter):
         g = suite.global_gradient(x)
@@ -191,7 +191,7 @@ def average_residual(x_stack, x_star):
     # without their dispatch overhead; an array for m x n x p records
     if d.shape[-1] >= 8:  # numpy's reduce over p is pairwise from 8 terms
         sq = np.add.reduce(d * d, axis=-1)
-    else:  # and left to right below, as this loop is, without its overhead
+    else:  # and left to right below, as this cheaper loop adds
         sq = d[..., 0] * d[..., 0]
         for c in range(1, d.shape[-1]):
             sq += d[..., c] * d[..., c]
