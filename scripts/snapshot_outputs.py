@@ -42,7 +42,10 @@ def generated_configs():
     default parameters. A third, a short fixed-length abm run on a directed
     n = 500 ring, applies A and B through their in-neighbor products; two
     shorter ones on that ring at p = 1 and p = 9 reach the recording's
-    other branches (an agent sum at p = 1, a residual at p >= 8)."""
+    other branches (an agent sum at p = 1, a residual at p >= 8). One more
+    tunes ds_tracking, extra and ab_extra on quickstart's problem over an
+    undirected graph: extra and ab_extra share one step function, so the
+    run cache of each tuning pass holds both kinds' runs."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -74,7 +77,14 @@ def generated_configs():
     ring["objective"].update(p=2, seed=19)
     ring["engines"] = [{"kind": "abm", "alpha": 0.002, "beta": 0.4}]
     ring["run"].update(max_iter=2000, stop_residual=0.0)
+    undirected = copy.deepcopy(quickstart)
+    undirected["graph"]["directed"] = False
+    undirected["engines"] = [
+        {"kind": kind, "tune": {"alpha_grid": [0.001, 0.002, 0.003, 0.004]}}
+        for kind in ("ds_tracking", "extra", "ab_extra")]
+    undirected["run"]["max_iter"] = 20000
     configs = {"directed_quadratic": directed,
+               "undirected_quadratic": undirected,
                "undirected_logistic": logistic, "sparse_ring": ring}
     for p in (1, 9):
         width = configs[f"sparse_ring_p{p}"] = copy.deepcopy(ring)
@@ -103,6 +113,10 @@ def commands():
          ["tune"]),
         ("run_undirected_logistic", generated["undirected_logistic"],
          ["run"]),
+        ("run_undirected_quadratic", generated["undirected_quadratic"],
+         ["run"]),
+        ("tune_undirected_quadratic", generated["undirected_quadratic"],
+         ["tune"]),
         ("run_sparse_ring", generated["sparse_ring"], ["run"]),
         ("run_sparse_ring_p1", generated["sparse_ring_p1"], ["run"]),
         ("run_sparse_ring_p9", generated["sparse_ring_p9"], ["run"]),

@@ -12,6 +12,7 @@ functions stay the per-step definition.
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +39,31 @@ class EngineConfig:
     A: object = None       # row-stochastic WeightMatrix
     B: object = None       # column-stochastic WeightMatrix
     W: object = None       # doubly-stochastic WeightMatrix
-    W_tilde: np.ndarray = None  # second EXTRA matrix: (I + W)/2 for extra
 
     def digest(self):
         """Hash of the numbers the step reads: step-sizes, momenta, weights.
         The kind is not in it, so ab and abm at beta = 0 share it."""
         weights = (None if m is None else m.digest
                    for m in (self.A, self.B, self.W))
-        return _digest(self.alphas, self.betas, *weights, self.W_tilde)
+        return _digest(self.alphas, self.betas, *weights)
+
+    @cached_property
+    def two_history_maps(self):
+        """two_history_step's (F, C, P), built once: EXTRA's (W, I + W,
+        (I + W)/2) given W, else AB's (A, A + B, BA). EXTRA's C and AB's P
+        stay the products x + W x and B (A x); one matrix rounds otherwise."""
+        if self.W is not None:
+            w = self.W.entries
+            w_tilde = (np.eye(self.W.n) + w) / 2.0
+            return w.__matmul__, lambda x: x + w @ x, w_tilde.__matmul__
+        a, b = self.A.entries, self.B.entries
+        return a.__matmul__, (a + b).__matmul__, lambda x: b @ (a @ x)
+
+    @cached_property
+    def perron_similarity(self):
+        """transformed_exact's scale s = n pi_r and diag(s) A diag(s)^-1."""
+        scale = self.A.n * self.A.pi_r
+        return scale, scale[:, None] * self.A.entries / scale[None, :]
 
 
 def _digest(*arrays):
@@ -76,20 +94,21 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
         raise EngineError(f"{kind} requires an identical scalar step-size")
     if not spec.momentum:
         betas = np.zeros(n)  # so ab is abm, and gd is heavy_ball, at beta 0
-    matrices = {"A": A, "B": B, "W": W}
-    for slot in spec.weights:
-        if getattr(matrices[slot], "kind", None) != _SLOT_KINDS[slot]:
+    # only the slots the step reads, so that the digest, which the run
+    # cache keys on with the step, fixes every map derived from them
+    slots = {slot: {"A": A, "B": B, "W": W}[slot] for slot in spec.weights}
+    for slot, m in slots.items():
+        if getattr(m, "kind", None) != _SLOT_KINDS[slot]:
             raise EngineError(f"{kind} needs a {_SLOT_KINDS[slot]}-stochastic "
                               f"matrix {slot}")
-        if matrices[slot].n != n:
+        if m.n != n:
             raise EngineError(f"{kind} needs {slot} to be {n} x {n}, not "
-                              f"{matrices[slot].n} x {matrices[slot].n}")
+                              f"{m.n} x {m.n}")
     if kind == "extra" and not np.array_equal(W.entries, W.entries.T):
         raise EngineError("extra requires a symmetric W")
     if kind == "ds_tracking":
-        A = B = W  # DIGing / Aug-DGM is ab on (W, W)
-    W_tilde = (np.eye(n) + W.entries) / 2.0 if kind == "extra" else None
-    return EngineConfig(kind, alphas, betas, A=A, B=B, W=W, W_tilde=W_tilde)
+        slots = {"A": W, "B": W}  # DIGing / Aug-DGM is ab on (W, W)
+    return EngineConfig(kind, alphas, betas, **slots)
 
 
 def _per_agent(value, n):
@@ -147,7 +166,7 @@ def init_state(cfg, suite, x0):
     if cfg.kind == "frost":
         return replace(state, V=np.eye(suite.n))
     if cfg.kind == "transformed_exact":
-        return replace(state, z=(suite.n * cfg.A.pi_r)[:, None] * x0)
+        return replace(state, z=cfg.perron_similarity[0][:, None] * x0)
     return state
 
 
@@ -170,42 +189,24 @@ def abm_step(state, cfg, suite):
 ab_step = ds_tracking_step = abm_step
 
 
-def _two_history_step(state, cfg, suite, first, current, previous):
-    """x_{k+1} = current(x_k) - previous(x_{k-1}) - alpha (g_k - g_{k-1}),
-    after a first step x_1 = first @ x_0 - alpha g_0 (y_0 = g_0)."""
+def two_history_step(state, cfg, suite):
+    """x_{k+1} = C x_k - P x_{k-1} - alpha (g_k - g_{k-1}) after a first
+    step x_1 = F x_0 - alpha g_0, for (F, C, P) = cfg.two_history_maps."""
+    first, current, previous = cfg.two_history_maps
     alpha = cfg.alphas[0]
     if state.grads_prev is None:
-        x_new = first @ state.x - alpha * state.grads
+        x_new = first(state.x) - alpha * state.grads
     else:
-        x_new = (
-            current(state.x)
-            - previous(state.x_prev)
-            - alpha * (state.grads - state.grads_prev)
-        )
+        x_new = (current(state.x) - previous(state.x_prev)
+                 - alpha * (state.grads - state.grads_prev))
     grads_new = suite.stacked_gradient(x_new)
     return replace(state, x=x_new, x_prev=state.x,
                    grads=grads_new, grads_prev=state.grads)
 
 
-def extra_step(state, cfg, suite):
-    """EXTRA: two-history update with symmetric doubly-stochastic weights,
-    (I + W) x_k - W_tilde x_{k-1}."""
-    w = cfg.W.entries
-    return _two_history_step(state, cfg, suite, w, lambda x: x + w @ x,
-                             lambda x: cfg.W_tilde @ x)
-
-
-def ab_extra_form_step(state, cfg, suite):
-    """Gradient tracking rewritten as a two-history EXTRA-style recursion,
-    (A + B) x_k - B A x_{k-1}.
-
-    Produces the same x-sequence as ab_step under an identical scalar
-    step-size; the first call performs one ab_step to align histories.
-    """
-    a = cfg.A.entries
-    b = cfg.B.entries
-    return _two_history_step(state, cfg, suite, a, lambda x: (a + b) @ x,
-                             lambda x: b @ (a @ x))
+# extra and ab_extra differ only in their maps; ab_extra gives ab_step's
+# x-sequence under one scalar step-size
+extra_step = ab_extra_form_step = two_history_step
 
 
 def addopt_step(state, cfg, suite):
@@ -249,8 +250,7 @@ def frost_step(state, cfg, suite):
 def transformed_ab_exact_step(state, cfg, suite):
     """Column-stochastic-only rewrite of gradient tracking with the exact
     left-Perron scaling of A (no eigenvector estimation)."""
-    scale = suite.n * cfg.A.pi_r
-    b_t = scale[:, None] * cfg.A.entries / scale[None, :]
+    scale, b_t = cfg.perron_similarity
     alpha = cfg.alphas[0]
     z_new = b_t @ state.z - alpha * (scale[:, None] * state.y)
     x_new = z_new / scale[:, None]
@@ -297,8 +297,8 @@ ENGINES = {
     "abm": EngineSpec(abm_step, ("A", "B"), momentum=True),
     "ab": EngineSpec(abm_step, ("A", "B")),
     "ds_tracking": EngineSpec(abm_step, ("W",)),
-    "extra": EngineSpec(extra_step, ("W",), scalar_alpha=True),
-    "ab_extra": EngineSpec(ab_extra_form_step, ("A", "B"), scalar_alpha=True),
+    "extra": EngineSpec(two_history_step, ("W",), scalar_alpha=True),
+    "ab_extra": EngineSpec(two_history_step, ("A", "B"), scalar_alpha=True),
     "addopt": EngineSpec(addopt_step, ("B",)),
     "frost": EngineSpec(frost_step, ("A",)),
     "transformed_exact": EngineSpec(

@@ -166,8 +166,7 @@ def test_extra_zero_step_reaches_consensus():
         rng.uniform(0.5, 2.0, (6, 2)), rng.standard_normal((6, 2))
     )
     x0 = rng.standard_normal((6, 2))
-    cfg = eng.EngineConfig("extra", np.zeros(6), np.zeros(6), W=W,
-                           W_tilde=(np.eye(6) + W.entries) / 2)
+    cfg = eng.EngineConfig("extra", np.zeros(6), np.zeros(6), W=W)
     state = eng.init_state(cfg, suite, x0)
     for _ in range(500):
         state = eng.extra_step(state, cfg, suite)
@@ -620,6 +619,41 @@ def test_run_cache_misses_on_any_other_input(monkeypatch):
         trace = eng.run(args[0], suite, *args[1:], cache=cache)
         assert "cached" not in trace.meta
     assert len(calls) == len(cache) == 1 + len(variants)
+
+
+def test_run_cache_keeps_kinds_that_share_a_step_apart(monkeypatch):
+    # extra and ab_extra share two_history_step; given every slot, each
+    # config keeps only its own, so their digests differ
+    g, A, B, suite, x0 = make_setup(6, 2, seed=33, directed=False)
+    W = wt.laplacian_doubly_stochastic(g)
+    calls = counting_loop(monkeypatch)
+    cache = {}
+    traces = [eng.run(eng.make_config(kind, 6, 0.02, A=A, B=B, W=W), suite,
+                      x0, 300, 1e-8, cache=cache)
+              for kind in ("extra", "ab_extra")]
+    assert calls == ["extra", "ab_extra"] and len(cache) == 2
+    assert traces[0].residuals().tobytes() != traces[1].residuals().tobytes()
+
+
+def test_two_history_maps_are_the_stated_matrices():
+    g, A, B, _, _ = make_setup(7, 2, seed=8)
+    W = wt.laplacian_doubly_stochastic(
+        gr.generate_nearest_neighbor(7, 2, 0.1, seed=8, directed=False))
+    eye = np.eye(7)
+    a, b, w = A.entries, B.entries, W.entries
+    for cfg, matrices in [
+        (eng.make_config("ab_extra", 7, 0.01, A=A, B=B), (a, a + b, b @ a)),
+        (eng.make_config("extra", 7, 0.01, W=W),
+         (w, eye + w, (eye + w) / 2)),
+    ]:
+        for apply, matrix in zip(cfg.two_history_maps, matrices):
+            assert apply(eye).tobytes() == matrix.tobytes()
+    # criterion 4's similarity, built once per config
+    scale = 7 * A.pi_r
+    b_tilde = scale[:, None] * A.entries / scale[None, :]
+    cfg = eng.make_config("transformed_exact", 7, 0.01, A=A, B=B)
+    assert cfg.perron_similarity[0].tobytes() == scale.tobytes()
+    assert cfg.perron_similarity[1].tobytes() == b_tilde.tobytes()
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42, 43])

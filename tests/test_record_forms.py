@@ -6,6 +6,7 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dhb import engines as eng
@@ -81,10 +82,13 @@ def test_in_neighbor_product_is_the_gather_oracle_bit_for_bit(w, p, seed):
     np.testing.assert_allclose(out, w.entries @ x, rtol=1e-12, atol=1e-12)
 
 
-def test_tuning_grid_hashes_each_weight_matrix_once(monkeypatch):
+@pytest.mark.parametrize("kind, directed", [("abm", True), ("extra", False)],
+                         ids=["abm", "extra"])
+def test_tuning_grid_hashes_each_weight_matrix_once(monkeypatch, kind,
+                                                    directed):
     n = 50
-    g = gr.generate_nearest_neighbor(n, 3, 0.1, 5, True)
-    mats = hs.build_weights(g, {"A", "B"})
+    g = gr.generate_nearest_neighbor(n, 3, 0.1, 5, directed)
+    mats = hs.build_weights(g, set(eng.ENGINE_WEIGHTS[kind]))
     suite = hs.build_quadratic(n, 2, 10.0, 3)
     x0 = np.random.default_rng(4).standard_normal((n, 2))
     hashed = []  # bytes per update of every sha256 taken during the grid
@@ -106,7 +110,7 @@ def test_tuning_grid_hashes_each_weight_matrix_once(monkeypatch):
             return self.h.hexdigest()
 
     monkeypatch.setattr(hashlib, "sha256", Counted)
-    eng.tune_parameters("abm", suite, x0, [0.01, 0.02, 0.03], [0.0, 0.3],
+    eng.tune_parameters(kind, suite, x0, [0.01, 0.02, 0.03], [0.0, 0.3],
                         100, 1e-8, cache={}, **mats)
     # six grid points, one hash of each n x n matrix
-    assert sum(size == n * n * 8 for size in hashed) == 2
+    assert sum(size == n * n * 8 for size in hashed) == len(mats)
