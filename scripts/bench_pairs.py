@@ -73,15 +73,14 @@ def micro(repeats=5):
     the dhb on sys.path; printed as JSON."""
     import numpy as np
     from dhb import analysis, engines, graph, harness
-    from dhb.objectives import average_residual
 
     def per_step(cfg, suite, x0, iters):
         step = engines.STEP_FUNCTIONS[cfg.kind]
         x_star = suite.minimizer()
         analysis.iterate(
             engines.init_state(cfg, suite, x0), lambda s: step(s, cfg, suite),
-            lambda s: (average_residual(s.x, x_star),
-                       engines.tracking_error(s.y, s.grads)),
+            lambda s: (analysis.average_residual(s.x, x_star),
+                       analysis.tracking_error(s.y, s.grads)),
             iters, 0.0, {})
 
     us = {}

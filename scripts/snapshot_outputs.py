@@ -45,7 +45,10 @@ def generated_configs():
     other branches (an agent sum at p = 1, a residual at p >= 8). One more
     tunes ds_tracking, extra and ab_extra on quickstart's problem over an
     undirected graph: extra and ab_extra share one step function, so the
-    run cache of each tuning pass holds both kinds' runs."""
+    run cache of each tuning pass holds both kinds' runs. The last runs
+    abm and frost on quickstart's problem at alpha = 1e300, so the residual
+    of their first step overflows and is recorded as inf (on the fused path
+    and on the per-step one), beside a converging ab."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -83,9 +86,17 @@ def generated_configs():
         {"kind": kind, "tune": {"alpha_grid": [0.001, 0.002, 0.003, 0.004]}}
         for kind in ("ds_tracking", "extra", "ab_extra")]
     undirected["run"]["max_iter"] = 20000
+    overflow = copy.deepcopy(quickstart)
+    overflow["engines"] = [
+        {"kind": "abm", "alpha": 1e300, "beta": 0.3},
+        {"kind": "frost", "alpha": 1e300},
+        {"kind": "ab", "alpha": 0.003},
+    ]
+    overflow["run"]["max_iter"] = 20000
     configs = {"directed_quadratic": directed,
                "undirected_quadratic": undirected,
-               "undirected_logistic": logistic, "sparse_ring": ring}
+               "undirected_logistic": logistic, "sparse_ring": ring,
+               "overflow_quadratic": overflow}
     for p in (1, 9):
         width = configs[f"sparse_ring_p{p}"] = copy.deepcopy(ring)
         width["objective"]["p"] = p
@@ -120,6 +131,7 @@ def commands():
         ("run_sparse_ring", generated["sparse_ring"], ["run"]),
         ("run_sparse_ring_p1", generated["sparse_ring_p1"], ["run"]),
         ("run_sparse_ring_p9", generated["sparse_ring_p9"], ["run"]),
+        ("run_overflow_quadratic", generated["overflow_quadratic"], ["run"]),
     ]
 
 

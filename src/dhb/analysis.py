@@ -1,4 +1,4 @@
-"""Convergence-rate measurement and trace bookkeeping."""
+"""The run loop and what it records, and convergence-rate measurement."""
 
 import math
 import time
@@ -12,6 +12,7 @@ from .errors import DhbError
 
 
 DIVERGENCE_RESIDUAL = 1e12
+RATE_FIT_FLOOR = 1e-14  # residuals at or below it are roundoff
 
 
 class AnalysisError(DhbError):
@@ -100,6 +101,44 @@ def _record(k, residual, tracking_error, elapsed):
     return TraceRecord(k, residual, te, elapsed)
 
 
+def average_residual(x_stack, x_star):
+    """(1/n) sum_i ||x_i - x*||_2, the plotted convergence metric."""
+    d = np.atleast_2d(x_stack) - x_star
+    # the sums, roots and division of mean(norm(d, axis=1)), bit for bit,
+    # without their dispatch overhead; an array for m x n x p records
+    if d.shape[-1] >= 8:  # numpy's reduce over p is pairwise from 8 terms
+        sq = np.add.reduce(d * d, axis=-1)
+    else:  # and left to right below, as this cheaper loop adds
+        sq = d[..., 0] * d[..., 0]
+        for c in range(1, d.shape[-1]):
+            sq += d[..., c] * d[..., c]
+    res = np.add.reduce(np.sqrt(sq), axis=-1) / d.shape[-2]
+    return res if res.ndim else float(res)
+
+
+def tracking_error(y, grads):
+    """Norm of sum_i y_i - sum_i grad f_i(x_i) for an n x p tracker y and
+    the n x p local gradients at x; zero in exact arithmetic for the
+    gradient-tracking engines. m x n x p blocks of records give the list of
+    their m norms."""
+    v = _agent_sum(y) - _agent_sum(grads)
+    if v.ndim == 1:
+        return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
+    return [math.sqrt(e @ e) for e in v]
+
+
+def _agent_sum(a):
+    """a.sum(axis=-2), bit for bit. On m x n x p blocks with p >= 2 it adds
+    the agents in order, as this does on an agent-major copy (each agent's
+    p floats moved as one item), in loops of m p floats rather than p."""
+    if a.ndim == 2 or a.shape[-1] == 1:  # at p = 1 a fast pairwise sum
+        return a.sum(axis=-2)
+    m, n, p = a.shape
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, 8 * p)))[..., 0]
+    by_agent = np.ascontiguousarray(rows.T).view(float)  # n x m p
+    return np.add.reduce(by_agent, axis=0).reshape(m, p)
+
+
 def iterate(state, step, measure, max_iter, stop_residual, meta):
     """iterate_blocks one record at a time: state = step(state) before each
     record but the first, measure(state) -> (residual, tracking error)."""
@@ -165,17 +204,17 @@ def grid_argmin(alpha_grid, beta_grid, score):
     return best[0], best[1], best[2], rows
 
 
-def fit_linear_rate(trace, tail_fraction=0.5, floor=1e-14):
+def fit_linear_rate(trace, tail_fraction=0.5):
     """Geometric rate from a least-squares line through (k, ln residual).
 
     Fits the trailing tail_fraction of records, dropping residuals at or
-    below the floating-point floor and non-finite ones (a diverged run's
+    below RATE_FIT_FLOOR and non-finite ones (a diverged run's
     last record). Returns (rate, r_squared) with rate = exp(slope).
     """
     ks, rs = trace.iterations(), trace.residuals()
     start = int(len(ks) * (1.0 - tail_fraction))
     ks, rs = ks[start:], rs[start:]
-    keep = np.isfinite(rs) & (rs > floor)
+    keep = np.isfinite(rs) & (rs > RATE_FIT_FLOOR)
     ks, rs = ks[keep], rs[keep]
     if len(ks) < 10:
         raise AnalysisError("need at least 10 usable tail records for a rate fit")

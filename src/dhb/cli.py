@@ -16,8 +16,8 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def add_common(p):
+        p.add_argument("--config", required=True,
                        help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import grid_argmin, iterate
+from .analysis import average_residual, grid_argmin, iterate
 from .errors import DhbError
-from .objectives import average_residual
 from . import weights as wt
 
 

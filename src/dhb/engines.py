@@ -10,16 +10,14 @@ functions stay the per-step definition.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .analysis import (grid_argmin, iterate, iterate_blocks,
-                       iterations_to_threshold)
+from .analysis import (average_residual, grid_argmin, iterate, iterate_blocks,
+                       iterations_to_threshold, tracking_error)
 from .errors import DhbError
-from .objectives import average_residual
 from . import weights as wt
 
 EIGEN_ESTIMATE_FLOOR = 1e3 * np.finfo(float).tiny
@@ -316,29 +314,6 @@ ENGINE_WEIGHTS = {kind: spec.weights for kind, spec in ENGINES.items()}
 STEP_FUNCTIONS = {kind: spec.step for kind, spec in ENGINES.items()}
 
 
-def tracking_error(y, grads):
-    """Norm of sum_i y_i - sum_i grad f_i(x_i) for an n x p tracker y and
-    the n x p local gradients at x; zero in exact arithmetic for the
-    gradient-tracking engines. m x n x p blocks of records give the list of
-    their m norms."""
-    v = _agent_sum(y) - _agent_sum(grads)
-    if v.ndim == 1:
-        return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
-    return [math.sqrt(e @ e) for e in v]
-
-
-def _agent_sum(a):
-    """a.sum(axis=-2), bit for bit. On m x n x p blocks with p >= 2 it adds
-    the agents in order, as this does on an agent-major copy (each agent's
-    p floats moved as one item), in loops of m p floats rather than p."""
-    if a.ndim == 2 or a.shape[-1] == 1:  # at p = 1 a fast pairwise sum
-        return a.sum(axis=-2)
-    m, n, p = a.shape
-    rows = np.ascontiguousarray(a).view(np.dtype((np.void, 8 * p)))[..., 0]
-    by_agent = np.ascontiguousarray(rows.T).view(float)  # n x m p
-    return np.add.reduce(by_agent, axis=0).reshape(m, p)
-
-
 def step_condition_lambda(alphas, pi_r, pi_c, n, mu, lip):
     """Admissibility of the Perron-weighted effective step and its
     centralized contraction factor.
@@ -376,9 +351,7 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
         cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual,
                                   digest)
         return trace.with_meta(dict(trace.meta))
-    return hit.with_meta({"engine": cfg.kind, "config": digest,
-                          "termination": hit.meta["termination"],
-                          "cached": True})
+    return hit.with_meta(dict(hit.meta, engine=cfg.kind, cached=True))
 
 
 def _run(cfg, suite, x0, max_iter, stop_residual, digest):

@@ -225,12 +225,11 @@ def _resolve_engines(cfg, suite, mats, x0, cache):
     before any entry is tuned; tuning runs through `cache`."""
     def resolve(ecfg):
         kind = ecfg["kind"]
-        matrices = {slot: mats[slot] for slot in eng.ENGINE_WEIGHTS[kind]}
         if "tune" in ecfg:
             alpha, beta, _ = eng.tune_parameters(
                 kind, suite, x0, ecfg["tune"]["alpha_grid"],
                 ecfg["tune"].get("beta_grid", [0.0]), cfg["run"]["max_iter"],
-                cfg["run"]["stop_residual"], cache=cache, **matrices,
+                cfg["run"]["stop_residual"], cache=cache, **mats,
             )
             if alpha is None:
                 raise ConfigError(
@@ -240,7 +239,7 @@ def _resolve_engines(cfg, suite, mats, x0, cache):
             alpha, beta = ecfg["alpha"], ecfg.get("beta", 0.0)
         else:
             alpha, beta = eng.ENGINES[kind].defaults(suite)
-        engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **matrices)
+        engine_cfg = eng.make_config(kind, suite.n, alpha, beta, **mats)
         # report the largest alpha and beta the engine runs with;
         # make_config zeroes beta for ab, gd
         return (kind, float(np.max(engine_cfg.alphas)),

@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import DhbError
 
+MINIMIZER_TOL = 1e-12  # on ||grad F(x*)||
+
 
 class ObjectiveError(DhbError):
     pass
@@ -65,7 +67,7 @@ class ObjectiveSuite:
         return grads.sum(axis=0, initial=0.0) / self.n
 
     def minimizer(self):
-        """x* of F from global_minimizer at tol 1e-12, computed once."""
+        """x* of F from global_minimizer, computed once."""
         if self._minimizer is None:
             self._minimizer = global_minimizer(self)
         return self._minimizer
@@ -156,10 +158,10 @@ def logistic_hessian(suite, z):
     return h.sum(axis=0, initial=0.0) / suite.n
 
 
-def global_minimizer(suite, tol=1e-12, max_iter=500):
+def global_minimizer(suite, max_iter=500):
     """Minimizer oracle: closed form for quadratics, damped Newton otherwise.
 
-    Returns x* with ||grad F(x*)|| < tol.
+    Returns x* with ||grad F(x*)|| < MINIMIZER_TOL.
     """
     if suite.kind == "quadratic":
         return suite._minimizer  # the closed form; quadratic_suite checks it
@@ -167,7 +169,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
     for _ in range(max_iter):
         g = suite.global_gradient(x)
         gnorm = np.linalg.norm(g)
-        if gnorm < tol:
+        if gnorm < MINIMIZER_TOL:
             return x
         step = np.linalg.solve(logistic_hessian(suite, x), g)
         # backtrack on ||grad F||: near x* a decrease test on F itself
@@ -179,21 +181,7 @@ def global_minimizer(suite, tol=1e-12, max_iter=500):
             if t < 1e-12:
                 break
         x = x - t * step
-    if np.linalg.norm(suite.global_gradient(x)) < tol:
+    if np.linalg.norm(suite.global_gradient(x)) < MINIMIZER_TOL:
         return x
-    raise ObjectiveError(f"minimizer oracle did not reach tolerance {tol:g}")
-
-
-def average_residual(x_stack, x_star):
-    """(1/n) sum_i ||x_i - x*||_2, the plotted convergence metric."""
-    d = np.atleast_2d(x_stack) - x_star
-    # the sums, roots and division of mean(norm(d, axis=1)), bit for bit,
-    # without their dispatch overhead; an array for m x n x p records
-    if d.shape[-1] >= 8:  # numpy's reduce over p is pairwise from 8 terms
-        sq = np.add.reduce(d * d, axis=-1)
-    else:  # and left to right below, as this cheaper loop adds
-        sq = d[..., 0] * d[..., 0]
-        for c in range(1, d.shape[-1]):
-            sq += d[..., c] * d[..., c]
-    res = np.add.reduce(np.sqrt(sq), axis=-1) / d.shape[-2]
-    return res if res.ndim else float(res)
+    raise ObjectiveError("minimizer oracle did not reach tolerance "
+                         f"{MINIMIZER_TOL:g}")

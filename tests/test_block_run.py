@@ -30,9 +30,9 @@ def per_step(cfg, suite, x0, max_iter, stop_residual):
         for k in range(max_iter + 1):
             if k > 0:
                 state = step(state, cfg, suite)
-            res = obj.average_residual(state.x, x_star)
+            res = an.average_residual(state.x, x_star)
             if np.isfinite(res):
-                rows.append((k, res, eng.tracking_error(state.y,
+                rows.append((k, res, an.tracking_error(state.y,
                                                           state.grads)))
             else:
                 rows.append((k, math.inf, None))

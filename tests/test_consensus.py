@@ -5,7 +5,7 @@ from dhb import consensus as cs
 from dhb import graph as gr
 from dhb import weights as wt
 from dhb.analysis import fit_linear_rate
-from dhb.objectives import average_residual
+from dhb.analysis import average_residual
 
 
 def make_matrices(n, seed=0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dhb import analysis as an
 from dhb import engines as eng
 from dhb import graph as gr
 from dhb import harness as hs
@@ -557,9 +558,9 @@ def test_measures_equal_norm_expressions_bit_for_bit():
     for x, x_star, y in cases:
         with np.errstate(invalid="ignore"):  # inf - inf in the tracker sum
             old = float(np.mean(np.linalg.norm(x - x_star, axis=1)))
-            assert same(obj.average_residual(x, x_star), old)
+            assert same(an.average_residual(x, x_star), old)
             old = float(np.linalg.norm(y.sum(axis=0) - x.sum(axis=0)))
-            assert same(eng.tracking_error(y, x), old)
+            assert same(an.tracking_error(y, x), old)
 
 
 def counting_loop(monkeypatch):
@@ -673,16 +674,16 @@ def test_ds_tracking_matches_plain_diging_recursion(seed):
     x_star = suite.minimizer()
     grads = suite.stacked_gradient(x)
     y = grads.copy()
-    residuals = [obj.average_residual(x, x_star)]
+    residuals = [an.average_residual(x, x_star)]
     for _ in range(steps):
         x = W.entries @ x - alpha * y
         grads_new = suite.stacked_gradient(x)
         y = W.entries @ y + grads_new - grads
         grads = grads_new
-        residuals.append(obj.average_residual(x, x_star))
+        residuals.append(an.average_residual(x, x_star))
     assert trace.meta["termination"] == "max_iter"
     assert trace.residuals().tobytes() == np.array(residuals).tobytes()
-    assert trace.records[-1].tracking_error == eng.tracking_error(y, grads)
+    assert trace.records[-1].tracking_error == an.tracking_error(y, grads)
 
 
 @pytest.mark.parametrize("kind", ["addopt", "frost"])

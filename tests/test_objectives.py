@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dhb import analysis as an
 from dhb import objectives as obj
 
 
@@ -210,7 +211,7 @@ def test_suite_constant_ordering():
 
 def test_average_residual():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.isclose(obj.average_residual(x, np.zeros(2)), 1.0)
+    assert np.isclose(an.average_residual(x, np.zeros(2)), 1.0)
 
 
 def test_logistic_gradient_and_hessian_at_large_margins():

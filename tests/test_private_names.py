@@ -1,4 +1,5 @@
-"""No dhb module reads another dhb module's private names."""
+"""No dhb module reads another dhb module's private names, and the
+modules import one another only along the allowed edges."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,42 @@ def test_checker_finds_foreign_private_reads(source, names):
                          ids=lambda p: p.name)
 def test_no_module_reads_another_modules_private_names(path):
     assert foreign_private_reads(path.read_text(), path.stem) == []
+
+
+def dhb_imports(source):
+    """(line, module) of every dhb module that the source imports, e.g.
+    `from .x import y`, `from . import x as z` or `import dhb.x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = "." * node.level + (node.module or "")
+            if path in (".", "dhb"):
+                found += [(node.lineno, alias.name) for alias in node.names]
+            elif path.startswith((".", "dhb.")):
+                found.append((node.lineno, path.rsplit(".", 1)[-1]))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name[4:]) for alias in node.names
+                      if alias.name.startswith("dhb.")]
+    return found
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("from .analysis import Trace, iterate", ["analysis"]),
+    ("from . import weights as wt, graph", ["weights", "graph"]),
+    ("from dhb.objectives import quadratic_suite", ["objectives"]),
+    ("from dhb import engines", ["engines"]),
+    ("import dhb.weights as wt\nimport numpy", ["weights"]),
+], ids=["relative", "package", "absolute", "absolute-package", "import"])
+def test_checker_finds_dhb_imports(source, modules):
+    assert [module for _, module in dhb_imports(source)] == modules
+
+
+def test_module_graph():
+    """analysis, which holds the run loop and its recording, imports no dhb
+    module but errors, and only harness reads the objective families."""
+    broken = [f"{path.name}:{line} imports {module}"
+              for path in sorted(SRC.glob("*.py"))
+              for line, module in dhb_imports(path.read_text())
+              if (path.stem == "analysis" and module != "errors")
+              or (module == "objectives" and path.stem != "harness")]
+    assert broken == []

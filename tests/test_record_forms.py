@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dhb import analysis as an
 from dhb import engines as eng
 from dhb import graph as gr
 from dhb import harness as hs
-from dhb import objectives as obj
 from dhb import weights as wt
 
 FORM_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -37,7 +37,7 @@ def test_block_residual_is_the_reduce_formula_bit_for_bit(block):
     d = x - x_star
     want = (np.add.reduce(np.sqrt(np.add.reduce(d * d, -1)), -1)
             / x.shape[-2])
-    assert obj.average_residual(x, x_star).tobytes() == want.tobytes()
+    assert an.average_residual(x, x_star).tobytes() == want.tobytes()
 
 
 @FORM_SETTINGS
@@ -45,12 +45,12 @@ def test_block_residual_is_the_reduce_formula_bit_for_bit(block):
 def test_block_tracking_errors_are_the_single_record_norms(block):
     y, rng = block
     grads = y + 1e-9 * rng.standard_normal(y.shape)
-    errors = eng.tracking_error(y, grads)
+    errors = an.tracking_error(y, grads)
     assert len(errors) == len(y)
     for e, yi, gi in zip(errors, y, grads):
         norm = float(np.linalg.norm(yi.sum(axis=0) - gi.sum(axis=0)))
         assert math.isfinite(e)
-        assert e == eng.tracking_error(yi, gi) == norm
+        assert e == an.tracking_error(yi, gi) == norm
 
 
 @st.composite

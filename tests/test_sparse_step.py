@@ -12,7 +12,7 @@ import pytest
 from dhb import analysis as an
 from dhb import engines as eng
 from dhb import harness as hs
-from dhb.objectives import average_residual
+from dhb.analysis import average_residual
 
 ROOT = Path(__file__).resolve().parents[1]
 
