@@ -48,7 +48,10 @@ def generated_configs():
     run cache of each tuning pass holds both kinds' runs. The last runs
     abm and frost on quickstart's problem at alpha = 1e300, so the residual
     of their first step overflows and is recorded as inf (on the fused path
-    and on the per-step one), beside a converging ab."""
+    and on the per-step one), beside a converging ab. Another tunes abm on
+    a logistic suite over quickstart's directed graph; at its larger alpha
+    the residual stays bounded and above the threshold, so those grid
+    points end at max_iter."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -93,10 +96,18 @@ def generated_configs():
         {"kind": "ab", "alpha": 0.003},
     ]
     overflow["run"]["max_iter"] = 20000
+    directed_logistic = copy.deepcopy(quickstart)
+    directed_logistic["objective"] = {"kind": "logistic", "m_i": 20, "p": 3,
+                                      "reg": 0.1, "seed": 5}
+    directed_logistic["engines"] = [
+        {"kind": "abm", "tune": {"alpha_grid": [0.025, 0.1, 0.2],
+                                 "beta_grid": [0.0, 0.3]}}]
+    directed_logistic["run"]["max_iter"] = 2000
     configs = {"directed_quadratic": directed,
                "undirected_quadratic": undirected,
                "undirected_logistic": logistic, "sparse_ring": ring,
-               "overflow_quadratic": overflow}
+               "overflow_quadratic": overflow,
+               "directed_logistic": directed_logistic}
     for p in (1, 9):
         width = configs[f"sparse_ring_p{p}"] = copy.deepcopy(ring)
         width["objective"]["p"] = p
@@ -132,6 +143,8 @@ def commands():
         ("run_sparse_ring_p1", generated["sparse_ring_p1"], ["run"]),
         ("run_sparse_ring_p9", generated["sparse_ring_p9"], ["run"]),
         ("run_overflow_quadratic", generated["overflow_quadratic"], ["run"]),
+        ("run_directed_logistic", generated["directed_logistic"], ["run"]),
+        ("tune_directed_logistic", generated["directed_logistic"], ["tune"]),
     ]
 
 
@@ -151,7 +164,9 @@ def snapshot(out_dir):
         here.mkdir(parents=True)
         if config is not None:
             (here / "config.json").write_text(json.dumps(config, indent=2))
-            args = args + ["--config", "config.json", "--out", "out"]
+            args = args + ["--config", "config.json"]
+            if args[0] != "tune":  # tune writes nothing
+                args += ["--out", "out"]
         done = subprocess.run([sys.executable, "-m", "dhb.cli", *args],
                               cwd=here, env=env, capture_output=True,
                               text=True, check=False)

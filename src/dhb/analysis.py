@@ -13,6 +13,7 @@ from .errors import DhbError
 
 DIVERGENCE_RESIDUAL = 1e12
 RATE_FIT_FLOOR = 1e-14  # residuals at or below it are roundoff
+RATE_FIT_TAIL = 0.5  # the fraction of records a rate fit reads
 
 
 class AnalysisError(DhbError):
@@ -204,15 +205,15 @@ def grid_argmin(alpha_grid, beta_grid, score):
     return best[0], best[1], best[2], rows
 
 
-def fit_linear_rate(trace, tail_fraction=0.5):
+def fit_linear_rate(trace):
     """Geometric rate from a least-squares line through (k, ln residual).
 
-    Fits the trailing tail_fraction of records, dropping residuals at or
+    Fits the trailing RATE_FIT_TAIL of records, dropping residuals at or
     below RATE_FIT_FLOOR and non-finite ones (a diverged run's
     last record). Returns (rate, r_squared) with rate = exp(slope).
     """
     ks, rs = trace.iterations(), trace.residuals()
-    start = int(len(ks) * (1.0 - tail_fraction))
+    start = int(len(ks) * (1.0 - RATE_FIT_TAIL))
     ks, rs = ks[start:], rs[start:]
     keep = np.isfinite(rs) & (rs > RATE_FIT_FLOOR)
     ks, rs = ks[keep], rs[keep]

@@ -16,23 +16,24 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
+    verbs = {"run": "run one experiment config",
+             "sweep": "condition-number sweep",
+             "consensus": "consensus comparison",
+             "tune": "grid search only; writes no files"}
+    for verb, what in verbs.items():
+        p = sub.add_parser(verb, help=what)
         p.add_argument("--config", required=True,
                        help="experiment config (JSON)")
-        p.add_argument("--out", default=None, help="output directory")
+        if verb != "tune":
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed (consensus: the "
                        "consensus seed)")
         p.add_argument("--n", type=int, default=None,
                        help="override the agent count (graph.n)")
-
-    add_common(sub.add_parser("run", help="run one experiment config"))
-    p_sweep = sub.add_parser("sweep", help="condition-number sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--condition-numbers", required=True,
-                         help="comma-separated list, e.g. 10,100,1000")
-    add_common(sub.add_parser("consensus", help="consensus comparison"))
-    add_common(sub.add_parser("tune", help="grid search only"))
+        if verb == "sweep":
+            p.add_argument("--condition-numbers", required=True,
+                           help="comma-separated list, e.g. 10,100,1000")
     p_graph = sub.add_parser("graph-gen", help="generate and save a graph")
     p_graph.add_argument("--n", type=int, required=True)
     p_graph.add_argument("--ring-degree", type=int, default=4)

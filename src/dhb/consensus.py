@@ -106,17 +106,21 @@ def effective_radius(sys_):
     return float(np.max(np.abs(np.linalg.eigvals(sys_.H - sys_.H_inf))))
 
 
-def grid_search_params(A, B, alpha_grid, beta_grid, form):
-    """Exhaustive (alpha, beta) search minimizing the effective radius.
-
-    beta is pinned to 0 for the surplus form. Ties go to the first grid
-    point. Returns (alpha*, beta*, radius*, rows) where rows lists
-    (alpha, beta, radius) for every grid point.
-    """
+def build_system(A, B, alpha, beta, form):
+    """The system of `form` at (alpha, beta); surplus has no momentum."""
     if form == "abmc":
-        return grid_argmin(alpha_grid, beta_grid, lambda alpha, beta:
-                           effective_radius(abmc_build(A, B, alpha, beta)))
-    if form == "surplus":
-        return grid_argmin(alpha_grid, [0.0], lambda alpha, _:
-                           effective_radius(surplus_build(A, B, alpha)))
-    raise ConsensusError(f"unknown form {form!r}")
+        return abmc_build(A, B, alpha, beta)
+    if form == "surplus" and beta == 0:
+        return surplus_build(A, B, alpha)
+    raise ConsensusError(f"unknown form {form!r} at beta {beta!r}: "
+                         "abmc, or surplus at beta 0")
+
+
+def grid_search_params(A, B, alpha_grid, beta_grid, form):
+    """grid_argmin's (alpha*, beta*, radius*, rows) of the effective radius
+    of build_system over the grid, beta pinned to 0 for the surplus form;
+    ties go to the first grid point."""
+    return grid_argmin(
+        alpha_grid, [0.0] if form == "surplus" else beta_grid,
+        lambda alpha, beta: effective_radius(
+            build_system(A, B, alpha, beta, form)))

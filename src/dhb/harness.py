@@ -26,7 +26,8 @@ _PER_AGENT = "a number or a list of one number per agent"
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 # section -> (required keys, optional keys), each with the type of its
-# value; an objective's section is its kind
+# value; an objective's section is its kind, and the graph section's keys
+# are the parameters of graph.generate_nearest_neighbor
 _SCHEMA = {
     "config": ({"graph": dict, "run": dict},
                {"objective": dict, "engines": list, "consensus": dict}),
@@ -147,10 +148,7 @@ def validate_config(data):
 
 
 def build_graph(gcfg):
-    return gr.generate_nearest_neighbor(
-        gcfg["n"], gcfg["ring_degree"], gcfg["extra_link_fraction"],
-        gcfg["seed"], gcfg["directed"],
-    )
+    return gr.generate_nearest_neighbor(**gcfg)  # gcfg: a graph section
 
 
 def build_quadratic(n, p, condition_number, seed):
@@ -175,15 +173,15 @@ def build_objective(ocfg, n):
     return logistic_suite(features, labels, ocfg["reg"])
 
 
+# each weight slot's builder in `weights`, looked up by name at each call
+_WEIGHT_BUILDERS = {"A": "uniform_row_stochastic",
+                    "B": "uniform_column_stochastic",
+                    "W": "laplacian_doubly_stochastic"}
+
+
 def build_weights(g, kinds_needed):
-    out = {}
-    if "A" in kinds_needed:
-        out["A"] = wt.uniform_row_stochastic(g)
-    if "B" in kinds_needed:
-        out["B"] = wt.uniform_column_stochastic(g)
-    if "W" in kinds_needed:
-        out["W"] = wt.laplacian_doubly_stochastic(g)
-    return out
+    return {slot: getattr(wt, name)(g) for slot, name in
+            _WEIGHT_BUILDERS.items() if slot in kinds_needed}
 
 
 def _objective(cfg):
@@ -336,29 +334,22 @@ def run_consensus_experiment(cfg, out_dir=None):
         raise ConfigError("config has no consensus section")
     out_dir = _out_dir(cfg, out_dir)
     ccfg = cfg["consensus"]
-    mats = build_weights(build_graph(cfg["graph"]), {"A", "B"})
-    A, B = mats["A"], mats["B"]
-    alpha_grid = ccfg["alpha_grid"]
-    beta_grid = ccfg.get("beta_grid", [0.0])
-    rng = np.random.default_rng(ccfg["seed"])
-    values = rng.standard_normal((A.n, 1))
+    A, B = build_weights(build_graph(cfg["graph"]), {"A", "B"}).values()
+    values = np.random.default_rng(ccfg["seed"]).standard_normal((A.n, 1))
 
     results = {}
     for form in ("abmc", "surplus"):
         alpha, beta, radius, rows = cns.grid_search_params(
-            A, B, alpha_grid, beta_grid, form
-        )
+            A, B, ccfg["alpha_grid"], ccfg.get("beta_grid", [0.0]), form)
         _write_table(
             [{"alpha": a, "beta": b, "radius": r} for a, b, r in rows],
             os.path.join(out_dir, f"radius_grid_{form}.csv"),
         )
-        sys_ = (cns.abmc_build(A, B, alpha, beta) if form == "abmc"
-                else cns.surplus_build(A, B, alpha))
-        trace = cns.consensus_run(sys_, values, ccfg["max_iter"], ccfg["tol"])
+        trace = cns.consensus_run(cns.build_system(A, B, alpha, beta, form),
+                                  values, ccfg["max_iter"], ccfg["tol"])
         trace.to_csv(os.path.join(out_dir, f"trace_consensus_{form}.csv"))
-        results[form] = {
-            "alpha": alpha, "beta": beta, "radius": radius, "trace": trace,
-        }
+        results[form] = {"alpha": alpha, "beta": beta, "radius": radius,
+                         "trace": trace}
     return results
 
 

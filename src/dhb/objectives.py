@@ -5,6 +5,7 @@ import numpy as np
 from .errors import DhbError
 
 MINIMIZER_TOL = 1e-12  # on ||grad F(x*)||
+MINIMIZER_MAX_ITER = 500  # damped Newton steps
 
 
 class ObjectiveError(DhbError):
@@ -158,7 +159,7 @@ def logistic_hessian(suite, z):
     return h.sum(axis=0, initial=0.0) / suite.n
 
 
-def global_minimizer(suite, max_iter=500):
+def global_minimizer(suite):
     """Minimizer oracle: closed form for quadratics, damped Newton otherwise.
 
     Returns x* with ||grad F(x*)|| < MINIMIZER_TOL.
@@ -166,7 +167,7 @@ def global_minimizer(suite, max_iter=500):
     if suite.kind == "quadratic":
         return suite._minimizer  # the closed form; quadratic_suite checks it
     x = np.zeros(suite.p)
-    for _ in range(max_iter):
+    for _ in range(MINIMIZER_MAX_ITER):
         g = suite.global_gradient(x)
         gnorm = np.linalg.norm(g)
         if gnorm < MINIMIZER_TOL:

@@ -59,14 +59,15 @@ def test_fit_needs_enough_points():
         an.fit_linear_rate(trace)
 
 
-def test_fit_tail_fraction_windows():
+def test_fit_tail_fraction_windows(monkeypatch):
     # rate 0.95 for 100 steps then 0.8: a short tail isolates the late phase
+    monkeypatch.setattr(an, "RATE_FIT_TAIL", 0.25)
     trace = an.Trace()
     r = 1.0
     for k in range(201):
         trace.append(k, r)
         r *= 0.95 if k < 100 else 0.8
-    rate, _ = an.fit_linear_rate(trace, tail_fraction=0.25)
+    rate, _ = an.fit_linear_rate(trace)
     assert abs(rate - 0.8) < 1e-3
 
 

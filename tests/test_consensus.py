@@ -145,7 +145,7 @@ def test_effective_radius_matches_observed_decay():
     # stop before the residual falls below the fit floor
     steps = int(np.log(1e-12) / np.log(radius))
     trace = cs.consensus_run(sys_, rng.standard_normal(6), steps)
-    rate, _ = fit_linear_rate(trace, tail_fraction=0.5)
+    rate, _ = fit_linear_rate(trace)
     assert rate <= radius + 0.05
 
 
@@ -285,3 +285,21 @@ def test_grid_search_rejects_an_unknown_form():
     A, B = make_matrices(4)
     with pytest.raises(cs.ConsensusError, match="unknown form"):
         cs.grid_search_params(A, B, [0.1], [0.0], "push_sum")
+
+
+def test_build_system_is_the_form_builder():
+    A, B = make_matrices(4)
+    for form, built in (("abmc", cs.abmc_build(A, B, 0.3, 0.2)),
+                        ("surplus", cs.surplus_build(A, B, 0.3))):
+        sys_ = cs.build_system(A, B, 0.3, 0.2 if form == "abmc" else 0.0,
+                               form)
+        assert sys_.form == form
+        assert np.array_equal(sys_.H, built.H)
+        assert np.array_equal(sys_.H_inf, built.H_inf)
+        assert (sys_.alpha, sys_.beta) == (built.alpha, built.beta)
+
+
+def test_build_system_refuses_surplus_momentum():
+    A, B = make_matrices(4)
+    with pytest.raises(cs.ConsensusError, match="abmc, or surplus at beta 0"):
+        cs.build_system(A, B, 0.1, 0.1, "surplus")

@@ -1,5 +1,6 @@
 import ast
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -858,3 +859,36 @@ def test_harness_names_no_engine_kind():
     kinds = [node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in eng.ENGINES]
     assert kinds == []
+
+
+def test_graph_section_keys_are_the_generator_parameters():
+    required, optional = hs._SCHEMA["graph"]
+    # build_graph passes the validated section to the generator as keywords
+    assert optional == {}
+    assert set(required) == set(
+        inspect.signature(gr.generate_nearest_neighbor).parameters)
+
+
+def test_harness_leaves_each_consensus_form_to_consensus():
+    # consensus.build_system alone maps a form to its system
+    tree = ast.parse(Path(hs.__file__).read_text())
+    builders = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("abmc_build", "surplus_build")]
+    form_tests = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and "form" in {n.id for n in ast.walk(node)
+                                 if isinstance(n, ast.Name)}]
+    assert builders == [] and form_tests == []
+
+
+def test_cli_tune_takes_no_out(tmp_path, capsys):
+    # tune writes nothing, so it has no output directory to take
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(tmp_path, engines=[
+        {"kind": "ab", "tune": {"alpha_grid": [0.03]}}])))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tune", "--config", str(path), "--out", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

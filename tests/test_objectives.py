@@ -322,10 +322,79 @@ def test_logistic_rejects_features_not_one_matrix_per_agent():
         obj.logistic_suite(features[0], labels, reg=0.1)
 
 
-def test_minimizer_raises_short_of_its_tolerance():
+def test_minimizer_raises_short_of_its_tolerance(monkeypatch):
     features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
     suite = obj.logistic_suite(features, labels, reg=0.1)
+    monkeypatch.setattr(obj, "MINIMIZER_MAX_ITER", 1)
     with pytest.raises(obj.ObjectiveError, match="did not reach tolerance"):
-        obj.global_minimizer(suite, max_iter=1)
+        obj.global_minimizer(suite)
+    monkeypatch.undo()
     assert np.linalg.norm(
         suite.global_gradient(obj.global_minimizer(suite))) < 1e-12
+
+
+def test_minimizer_of_a_quadratic_suite_is_its_closed_form():
+    q = np.array([[1.0, 4.0], [2.0, 0.5]])
+    b = np.array([[1.0, -3.0], [1.0, 2.0]])
+    suite = obj.quadratic_suite(q, b)
+    # grad F = 0 gives 2 diag(q_1 + q_2) x = -(b_1 + b_2)
+    assert np.allclose(obj.global_minimizer(suite),
+                       -b.sum(axis=0) / (2.0 * q.sum(axis=0)), rtol=1e-15)
+
+
+def small_logistic_suite():
+    features, labels = obj.synthesize_logistic_data(3, 4, 2, seed=1)
+    return obj.logistic_suite(features, labels, reg=0.1)
+
+
+def gradient_calls(suite, monkeypatch):
+    """A list that grows by one per suite.global_gradient call."""
+    calls, gradient = [], suite.global_gradient
+    monkeypatch.setattr(suite, "global_gradient",
+                        lambda x: calls.append(None) or gradient(x))
+    return calls
+
+
+def test_minimizer_backtracks_an_overshooting_newton_step(monkeypatch):
+    suite = small_logistic_suite()
+    calls = gradient_calls(suite, monkeypatch)
+    obj.global_minimizer(suite)
+    whole_steps = len(calls)
+    # a Hessian at a quarter scale makes every step four Newton steps long,
+    # so the step is halved twice before it is taken
+    hessian = obj.logistic_hessian
+    monkeypatch.setattr(obj, "logistic_hessian",
+                        lambda s, z: 0.25 * hessian(s, z))
+    del calls[:]
+    x = obj.global_minimizer(suite)
+    assert len(calls) > whole_steps
+    assert np.linalg.norm(suite.global_gradient(x)) < obj.MINIMIZER_TOL
+
+
+def test_minimizer_gives_up_when_no_step_decreases_the_gradient(monkeypatch):
+    suite = small_logistic_suite()
+    hessian = obj.logistic_hessian
+    # a negated Hessian points every step uphill on ||grad F||: each
+    # backtracking ends below t = 1e-12, after 40 halvings
+    monkeypatch.setattr(obj, "logistic_hessian", lambda s, z: -hessian(s, z))
+    monkeypatch.setattr(obj, "MINIMIZER_MAX_ITER", 3)
+    calls = gradient_calls(suite, monkeypatch)
+    with pytest.raises(obj.ObjectiveError, match="did not reach tolerance"):
+        obj.global_minimizer(suite)
+    assert len(calls) == 3 * (1 + 40) + 1
+
+
+def test_minimizer_returns_after_its_last_allowed_step(monkeypatch):
+    # with exactly as many Newton steps as the suite needs, the loop ends
+    # before its own check sees the tolerance, and the check after it returns
+    suite = small_logistic_suite()
+    steps = 1
+    while True:
+        monkeypatch.setattr(obj, "MINIMIZER_MAX_ITER", steps)
+        try:
+            x = obj.global_minimizer(suite)
+            break
+        except obj.ObjectiveError:
+            steps += 1
+    assert steps > 1  # one step fewer raised
+    assert np.linalg.norm(suite.global_gradient(x)) < obj.MINIMIZER_TOL

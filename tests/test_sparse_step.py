@@ -1,6 +1,6 @@
 """The fused stepper on the in-neighbor side of WeightMatrix.multiplier:
-which matrices take it, and an n = 500 run against the dense per-step
-loop."""
+which matrices take it, and an n = 500 run against the plain per-step
+loop of test_block_run, which applies A and B as dense matrices."""
 
 import importlib.util
 import warnings
@@ -12,7 +12,8 @@ import pytest
 from dhb import analysis as an
 from dhb import engines as eng
 from dhb import harness as hs
-from dhb.analysis import average_residual
+# the plain per-step loop (abm_step, one record at a time), the oracle
+from test_block_run import per_step
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,25 +51,17 @@ def large_ring(alpha, beta):
     return eng.make_config("abm", 500, alpha, beta, **mats), suite, x0
 
 
-def per_step(cfg, suite, x0, max_iter, stop_residual):
-    """The dense per-step loop: abm_step, one record at a time."""
-    x_star = suite.minimizer()
-    return an.iterate(
-        eng.init_state(cfg, suite, x0), lambda s: eng.abm_step(s, cfg, suite),
-        lambda s: (average_residual(s.x, x_star), None),
-        max_iter, stop_residual, {})
-
-
 def test_n500_run_matches_dense_per_step_loop():
     cfg, suite, x0 = large_ring(0.002, 0.4)
     fused = eng.run(cfg, suite, x0, 5000, 1e-2)
-    dense = per_step(cfg, suite, x0, 5000, 1e-2)
-    assert fused.meta["termination"] == dense.meta["termination"] \
-        == "threshold"
+    rows, termination = per_step(cfg, suite, x0, 5000, 1e-2)
+    assert fused.meta["termination"] == termination == "threshold"
+    ks = np.array([k for k, _, _ in rows])
+    want = np.array([res for _, res, _ in rows])
     assert an.iterations_to_threshold(fused, 1e-2) \
-        == an.iterations_to_threshold(dense, 1e-2) == 3983
-    got, want = fused.residuals(), dense.residuals()
-    assert got.shape == want.shape
+        == ks[np.flatnonzero(want < 1e-2)[0]] == 3983
+    got = fused.residuals()
+    assert np.array_equal(fused.iterations(), ks)
     assert np.max(np.abs(got - want) / want) <= 1e-10
 
 
@@ -79,5 +72,4 @@ def test_overflowing_sparse_run_diverges_without_warning():
         warnings.simplefilter("error")
         trace = eng.run(cfg, suite, x0, 100, 0.0)
     assert trace.meta["termination"] == "diverged"
-    assert trace.meta["termination"] \
-        == per_step(cfg, suite, x0, 100, 0.0).meta["termination"]
+    assert per_step(cfg, suite, x0, 100, 0.0)[1] == "diverged"

@@ -219,3 +219,19 @@ def test_matrix_is_not_changed_through_the_base_of_a_view():
 def test_construction_rejects_malformed_matrices(entries, kind, match):
     with pytest.raises(wt.WeightError, match=match):
         wt.WeightMatrix(entries, kind)
+
+
+@pytest.mark.parametrize("entries, match", [
+    ([[1 - 1e-300, 1e-300], [0.5, 0.5]], "left Perron vector not strictly"),
+    ([[1 - 1e-16, 1e-310, 1e-16], [1e-30, 1, 0], [1e-310, 0, 1]],
+     "left Perron system is singular"),
+    ([[1, 1e-300, 1e-100, 0], [5e-324, 1, 0, 0], [0, 0, 1, 1e-100],
+      [1e-310, 1e-200, 0, 1]], "left Perron residual"),
+], ids=["not_positive", "singular", "residual"])
+def test_perron_refuses_what_underflow_leaves_of_an_irreducible_matrix(
+        entries, match):
+    # strongly connected by their positive entries, but the tiny ones
+    # vanish beside 1 in the bordered solve
+    w = wt.WeightMatrix(entries, wt.ROW)
+    with pytest.raises(wt.WeightError, match=match):
+        w.pi_r
