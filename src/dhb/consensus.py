@@ -73,11 +73,11 @@ def surplus_build(A, B, alpha):
 def initial_stack(sys_, values):
     """Stacked initial state [x_0; y_0; x_{-1}] = [values; 0; values], cut to
     the system size; x_{-1} = x_0 makes the first momentum difference zero.
-    Values of shape (n,) or (n, p) give one column per coordinate."""
+    Values of shape (n,) or (n, p), p >= 1, give one column per coordinate."""
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or len(values) != sys_.n:
+    if values.ndim not in (1, 2) or len(values) != sys_.n or values.size == 0:
         raise ConsensusError(f"values must have shape ({sys_.n},) or "
-                             f"({sys_.n}, p), not {values.shape}")
+                             f"({sys_.n}, p) for p >= 1, not {values.shape}")
     values = values.reshape(sys_.n, -1)
     stack = np.concatenate([values, np.zeros_like(values), values])
     return stack[: sys_.H.shape[0]]

@@ -73,10 +73,6 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-# the stochasticity of the matrix in each weight slot
-_SLOT_KINDS = {"A": wt.ROW, "B": wt.COLUMN, "W": wt.DOUBLY}
-
-
 def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     if kind not in ENGINES:
         raise EngineError(f"unknown engine kind {kind!r}")
@@ -96,9 +92,9 @@ def make_config(kind, n, alpha, beta=0.0, A=None, B=None, W=None):
     # cache keys on with the step, fixes every map derived from them
     slots = {slot: {"A": A, "B": B, "W": W}[slot] for slot in spec.weights}
     for slot, m in slots.items():
-        if getattr(m, "kind", None) != _SLOT_KINDS[slot]:
-            raise EngineError(f"{kind} needs a {_SLOT_KINDS[slot]}-stochastic "
-                              f"matrix {slot}")
+        if getattr(m, "kind", None) != wt.SLOTS[slot][0]:
+            raise EngineError(f"{kind} needs a {wt.SLOTS[slot][0]}-stochastic"
+                              f" matrix {slot}")
         if m.n != n:
             raise EngineError(f"{kind} needs {slot} to be {n} x {n}, not "
                               f"{m.n} x {m.n}")
@@ -138,23 +134,20 @@ class AlgorithmState:
 def init_state(cfg, suite, x0):
     """Bootstrap conventions: x_prev = 0, y_0 = local gradients at x_0.
 
-    A kind without weight slots holds one centralized iterate, started
-    from the first row of an n x p (or 1 x p) x0. extra and ab_extra prime
-    their second history on the first step call, the one whose state has
-    no grads_prev.
+    Every kind takes a config of the suite's n agents and an n x p x0; a
+    kind without weight slots holds one centralized iterate, started from
+    x0's first row. extra and ab_extra prime their second history on the
+    first step call, the one whose state has no grads_prev.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not ENGINES[cfg.kind].weights:
-        if x0.shape not in ((suite.n, suite.p), (1, suite.p)):
-            raise EngineError(f"x0 must have shape ({suite.n}, {suite.p}) "
-                              f"or (1, {suite.p}), got {x0.shape}")
-        return AlgorithmState(x=x0[:1], x_prev=np.zeros_like(x0[:1]))
     if len(cfg.alphas) != suite.n:
         raise EngineError(f"the config has {len(cfg.alphas)} agents, the "
                           f"suite {suite.n}")
     if x0.shape != (suite.n, suite.p):
         raise EngineError(f"x0 must have shape ({suite.n}, {suite.p}), got "
                           f"{x0.shape}")
+    if not ENGINES[cfg.kind].weights:
+        return AlgorithmState(x=x0[:1], x_prev=np.zeros_like(x0[:1]))
     grads = suite.stacked_gradient(x0)
     state = AlgorithmState(
         x=x0, x_prev=np.zeros_like(x0), y=grads.copy(), grads=grads
@@ -274,10 +267,9 @@ def polyak_parameters(mu, lip):
 
 def centralized_step(state, cfg, suite):
     """Heavy-ball on the global cost; gd is its beta = 0 setting."""
-    x_new, _ = centralized_hb_step(
-        state.x[0], state.x_prev[0], cfg.alphas[0], cfg.betas[0], suite
-    )
-    return replace(state, x=x_new[None, :], x_prev=state.x)
+    x_new, x = centralized_hb_step(state.x, state.x_prev, cfg.alphas[0],
+                                   cfg.betas[0], suite)
+    return replace(state, x=x_new, x_prev=x)
 
 
 @dataclass(frozen=True)

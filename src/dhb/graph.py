@@ -21,8 +21,9 @@ class Digraph:
     """
 
     def __init__(self, n, edges):
-        if n < 1:
-            raise GraphError("need at least one node")
+        if not (isinstance(n, Integral) and n >= 1):
+            raise GraphError(f"need at least one node: n must be an integer "
+                             f">= 1, not {n!r}")
         try:
             pairs = np.array(list(edges) or np.empty((0, 2), dtype=int))
         except ValueError:  # ragged pairs
@@ -78,10 +79,11 @@ def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directe
     floor(extra_link_fraction * n * (n-1)) random links are added (both
     ways when undirected).
     """
-    if n < 2:
-        raise GraphError("need n >= 2")
-    if not (1 <= ring_degree < n):
-        raise GraphError("need 1 <= ring_degree < n")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise GraphError(f"n must be an integer >= 2, not {n!r}")
+    if not (isinstance(ring_degree, Integral) and 1 <= ring_degree < n):
+        raise GraphError("ring_degree must be an integer with 1 <= ring_degree"
+                         f" < n, not {ring_degree!r}")
     if not (0.0 <= extra_link_fraction <= 1.0):
         raise GraphError("extra_link_fraction must be in [0, 1]")
     if not (isinstance(seed, Integral) and seed >= 0):

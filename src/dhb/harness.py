@@ -26,8 +26,8 @@ _PER_AGENT = "a number or a list of one number per agent"
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 # section -> (required keys, optional keys), each with the type of its
-# value; an objective's section is its kind, and the graph section's keys
-# are the parameters of graph.generate_nearest_neighbor
+# value; an objective's schema is its kind's. The graph section's keys, and
+# an objective's but kind, are the parameters of the section's builders
 _SCHEMA = {
     "config": ({"graph": dict, "run": dict},
                {"objective": dict, "engines": list, "consensus": dict}),
@@ -164,24 +164,19 @@ def build_quadratic(n, p, condition_number, seed):
 
 
 def build_objective(ocfg, n):
+    # the section's keys but kind are its builders' parameters, as keywords
+    params = {key: v for key, v in ocfg.items() if key != "kind"}
     if ocfg["kind"] == "quadratic":
-        return build_quadratic(n, ocfg["p"], ocfg["condition_number"],
-                               ocfg["seed"])
-    features, labels = synthesize_logistic_data(
-        n, ocfg["m_i"], ocfg["p"], ocfg["seed"]
-    )
-    return logistic_suite(features, labels, ocfg["reg"])
-
-
-# each weight slot's builder in `weights`, looked up by name at each call
-_WEIGHT_BUILDERS = {"A": "uniform_row_stochastic",
-                    "B": "uniform_column_stochastic",
-                    "W": "laplacian_doubly_stochastic"}
+        return build_quadratic(n, **params)
+    reg = params.pop("reg")
+    return logistic_suite(*synthesize_logistic_data(n, **params), reg)
 
 
 def build_weights(g, kinds_needed):
-    return {slot: getattr(wt, name)(g) for slot, name in
-            _WEIGHT_BUILDERS.items() if slot in kinds_needed}
+    # each builder looked up by name at each call, so a wrapper put on
+    # `weights` after import (as the benchmark's probe does) runs
+    return {slot: getattr(wt, name)(g) for slot, (_, name) in
+            wt.SLOTS.items() if slot in kinds_needed}
 
 
 def _objective(cfg):
@@ -319,7 +314,7 @@ def run_condition_sweep(cfg, condition_numbers, out_dir=None):
 
     rows = []
     for q in condition_numbers:
-        suite = build_quadratic(*x0.shape, q, ocfg["seed"])
+        suite = build_objective(dict(ocfg, condition_number=q), len(x0))
         rows += [{"condition_number": q, **row}
                  for row, _ in _run_engines(cfg, suite, mats, x0)]
     _write_table(rows, os.path.join(_out_dir(cfg, out_dir),

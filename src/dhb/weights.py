@@ -49,9 +49,10 @@ class WeightMatrix:
         # holds (copying them too raised the set-up time of a directed
         # n = 500 ring by 29 %: a second 2 MB buffer to page in per matrix)
         entries = (np.asarray if _fresh else np.array)(entries, dtype=float)
-        n = entries.shape[0]
-        if entries.shape != (n, n):
-            raise WeightError("entries must be square")
+        n = entries.shape[0] if entries.ndim else 0
+        if n == 0 or entries.shape != (n, n):
+            raise WeightError("entries must be square with at least one row, "
+                              f"not of shape {entries.shape}")
         # each check is written so that a NaN fails it
         if not np.all(entries >= 0):
             raise WeightError("entries must be nonnegative")
@@ -183,3 +184,10 @@ def laplacian_doubly_stochastic(g):
     lap = np.diag(deg) - adj
     w = np.eye(n) - lap / (deg.max() + 1.0)
     return WeightMatrix(w, DOUBLY, _fresh=True)
+
+
+# each weight slot's stochasticity, which engines.make_config checks, and
+# the name of its builder above, which harness.build_weights calls
+SLOTS = {"A": (ROW, "uniform_row_stochastic"),
+         "B": (COLUMN, "uniform_column_stochastic"),
+         "W": (DOUBLY, "laplacian_doubly_stochastic")}

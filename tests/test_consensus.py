@@ -234,8 +234,9 @@ def test_vector_run_matches_scalar_runs_per_coordinate(form):
 
 
 @pytest.mark.parametrize("values", [np.arange(10.0), np.ones((5, 2, 1)),
-                                    np.ones(7)],
-                         ids=["two_per_agent", "three_axes", "seven_agents"])
+                                    np.ones(7), np.zeros((5, 0))],
+                         ids=["two_per_agent", "three_axes", "seven_agents",
+                              "no_columns"])
 def test_consensus_values_must_be_one_row_per_agent(values):
     sys_ = cs.abmc_build(*make_matrices(5, seed=15), 0.2, 0.1)
     with pytest.raises(cs.ConsensusError, match="shape"):

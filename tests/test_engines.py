@@ -427,9 +427,8 @@ def test_per_step_runs_past_an_overflow_end_diverged(kind):
     # a RuntimeWarning fail the test
     _, A, B, suite, x0 = make_setup(5, 2, seed=29)
     slots = {s: {"A": A, "B": B}[s] for s in eng.ENGINE_WEIGHTS[kind]}
-    n = 1 if not slots else 5
-    cfg = eng.make_config(kind, n, 1e300, **slots)
-    trace = eng.run(cfg, suite, x0[:n], 100)
+    cfg = eng.make_config(kind, 5, 1e300, **slots)
+    trace = eng.run(cfg, suite, x0, 100)
     assert trace.diverged
     assert trace.iterations().tolist() == [0, 1]
     assert trace.residuals()[-1] == np.inf
@@ -483,7 +482,7 @@ def test_engine_registry_entry(kind):
     x0 = rng.standard_normal((6, 2))
     cfg = eng.make_config(kind, 6, 0.02, beta=0.3, **mats)
     assert np.all(cfg.betas == (0.3 if spec.momentum else 0.0))
-    trace = eng.run(cfg, suite, x0 if spec.weights else x0[:1], 5)
+    trace = eng.run(cfg, suite, x0, 5)
     assert [r.k for r in trace.records] == list(range(6))
     for r in trace.records:
         assert (r.tracking_error is not None) == (spec.step is eng.abm_step)
@@ -512,16 +511,26 @@ def test_tuning_scores_a_point_make_config_rejects_as_never_converging():
 
 def test_centralized_kinds_start_from_the_first_row_of_x0():
     _, _, _, suite, x0 = make_setup(6, 2, seed=33)
+    # x0's first row above other rows
+    other = np.vstack([x0[:1], np.random.default_rng(33).normal(size=(5, 2))])
     for kind in ("gd", "heavy_ball"):
         cfg = eng.make_config(kind, 6, 0.1, 0.3)
-        runs = [eng.run(cfg, suite, start, 50) for start in (x0, x0[:1])]
+        runs = [eng.run(cfg, suite, start, 50) for start in (x0, other)]
         full, first = ([(r.k, r.residual, r.tracking_error)
                         for r in trace.records] for trace in runs)
         assert full == first and len(full) == 51
         for bad in (x0[:2], x0[:, :1], x0[0]):
-            with pytest.raises(eng.EngineError,
-                               match=r"\(6, 2\) or \(1, 2\)"):
+            with pytest.raises(eng.EngineError, match=r"\(6, 2\), got"):
                 eng.run(cfg, suite, bad, 5)
+
+
+@pytest.mark.parametrize("kind", ["gd", "heavy_ball"])
+def test_init_state_takes_one_n_by_p_x0_for_every_kind(kind):
+    _, _, _, suite, x0 = make_setup(6, 2, seed=33)
+    with pytest.raises(eng.EngineError, match=r"\(6, 2\), got \(1, 2\)"):
+        eng.init_state(eng.make_config(kind, 6, 0.1), suite, x0[:1])
+    with pytest.raises(eng.EngineError, match="1 agents, the suite 6"):
+        eng.init_state(eng.make_config(kind, 1, 0.1), suite, x0)
 
 
 def test_run_overflowing_iterate_ends_on_one_inf_record():
@@ -595,10 +604,10 @@ def test_run_cache_hit_has_its_own_meta(monkeypatch):
     again = eng.run(cfg_ab, suite, x0, 3000, 1e-8, cache=cache)
     assert "seed" not in again.meta and calls == ["abm"]
     # gd is heavy_ball at beta = 0
-    gd = eng.make_config("gd", 1, 0.1)
-    hb = eng.make_config("heavy_ball", 1, 0.1, 0.0)
-    eng.run(hb, suite, x0[:1], 200, cache=cache)
-    assert eng.run(gd, suite, x0[:1], 200, cache=cache).meta["cached"]
+    gd = eng.make_config("gd", 6, 0.1)
+    hb = eng.make_config("heavy_ball", 6, 0.1, 0.0)
+    eng.run(hb, suite, x0, 200, cache=cache)
+    assert eng.run(gd, suite, x0, 200, cache=cache).meta["cached"]
     assert calls == ["abm", "heavy_ball"]
 
 

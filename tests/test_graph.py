@@ -98,6 +98,24 @@ def test_parameter_validation():
         gr.generate_nearest_neighbor(5, 2, 1.5, 0, True)
 
 
+def test_generator_node_count_must_be_an_integer():
+    with pytest.raises(gr.GraphError, match="n must be an integer"):
+        gr.generate_nearest_neighbor(10.0, 2, 0.1, 0, True)
+    assert gr.generate_nearest_neighbor(np.int64(10), 2, 0.1, 0, True).n == 10
+
+
+def test_ring_degree_must_be_an_integer():
+    with pytest.raises(gr.GraphError, match="ring_degree must be an integer"):
+        gr.generate_nearest_neighbor(10, 2.0, 0.1, 0, True)
+    gr.generate_nearest_neighbor(10, np.int32(2), 0.1, 0, True)
+
+
+def test_digraph_node_count_must_be_an_integer():
+    with pytest.raises(gr.GraphError, match="at least one node"):
+        gr.Digraph(2.5, [])
+    assert gr.Digraph(np.int64(2), [(0, 1)]).edges() == [(0, 1)]
+
+
 def test_seed_must_be_a_nonnegative_integer():
     for seed in (-1, 1.5, "1", None):
         with pytest.raises(gr.GraphError, match="seed"):

@@ -12,6 +12,8 @@ from dhb import consensus as cns
 from dhb import engines as eng
 from dhb import graph as gr
 from dhb import harness as hs
+from dhb import objectives as obj
+from dhb import weights as wt
 
 
 def base_config(tmp_path, directed=True, engines=None, condition_number=9.0):
@@ -867,6 +869,34 @@ def test_graph_section_keys_are_the_generator_parameters():
     assert optional == {}
     assert set(required) == set(
         inspect.signature(gr.generate_nearest_neighbor).parameters)
+
+
+@pytest.mark.parametrize("kind, builder, more", [
+    ("quadratic", hs.build_quadratic, set()),
+    ("logistic", obj.synthesize_logistic_data, {"reg"}),
+])
+def test_objective_section_keys_are_the_builder_parameters(kind, builder,
+                                                           more):
+    # build_objective passes the section but kind to the builders as
+    # keywords; reg goes to logistic_suite
+    required, optional = hs._SCHEMA[kind]
+    assert optional == {}
+    assert set(required) == ({"kind"} | more | set(
+        inspect.signature(builder).parameters) - {"n"})
+
+
+def test_weight_slots_are_stated_once_in_weights():
+    # weights.SLOTS holds each slot's stochasticity and builder name; no
+    # other module names a builder in a string
+    g = gr.generate_nearest_neighbor(6, 2, 0.1, seed=3, directed=False)
+    built = hs.build_weights(g, set(wt.SLOTS))
+    assert {slot: m.kind for slot, m in built.items()} == {
+        slot: kind for slot, (kind, _) in wt.SLOTS.items()}
+    names = {name for _, name in wt.SLOTS.values()}
+    found = [path.name for path in sorted(Path(wt.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in names]
+    assert found == ["weights.py"] * 3
 
 
 def test_harness_leaves_each_consensus_form_to_consensus():

@@ -213,9 +213,13 @@ def test_matrix_is_not_changed_through_the_base_of_a_view():
 
 @pytest.mark.parametrize("entries, kind, match", [
     (np.full((2, 3), 1.0 / 3.0), wt.ROW, "square"),
+    (5.0, wt.ROW, "square"), (5.0, wt.COLUMN, "square"),
+    (np.zeros((0, 0)), wt.ROW, "square"),
+    (np.zeros((0, 0)), wt.COLUMN, "square"),
     (np.array([[1.0, 0.0], [0.5, 0.5]]), wt.COLUMN, "column sums"),
     (np.eye(2), "stochastic", "unknown kind"),
-], ids=["not_square", "column_sums", "unknown_kind"])
+], ids=["not_square", "scalar_row", "scalar_column", "zero_by_zero_row",
+        "zero_by_zero_column", "column_sums", "unknown_kind"])
 def test_construction_rejects_malformed_matrices(entries, kind, match):
     with pytest.raises(wt.WeightError, match=match):
         wt.WeightMatrix(entries, kind)
