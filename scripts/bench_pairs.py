@@ -10,6 +10,7 @@ at the benchmark's own run length, in both, one after the other, the first
 of the two alternating from pair to pair so that host drift falls on both
 sides alike. The file holds every pair's end-to-end
 metrics, their medians, the share of pairs that `after` won, the
+commit and a sha256 of the `src/dhb/*.py` files of each checkout, the
 per-iteration cost of engine runs (`--micro`) in each checkout, and the
 minor page faults of each workload's set-up (`--setup-faults`) in
 FAULT_RUNS alternating runs per side. It is rewritten after each workload
@@ -18,6 +19,7 @@ before it.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +55,15 @@ def commit(checkout):
     out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                          capture_output=True, text=True, check=False)
     return out.stdout.strip() or None
+
+
+def sources(checkout):
+    """sha256 of the checkout's src/dhb/*.py, each file's name and bytes in
+    name order: which code a record measured, also in a copy without .git."""
+    h = hashlib.sha256()
+    for path in sorted((Path(checkout) / "src" / "dhb").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def bench_once(checkout, workload, seed):
@@ -178,6 +189,7 @@ def main():
     record = {
         "label": args.label,
         "commits": {side: commit(path) for side, path in sides.items()},
+        "sources": {side: sources(path) for side, path in sides.items()},
         "python": platform.python_version(), "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "workloads": {},

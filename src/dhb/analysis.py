@@ -121,11 +121,11 @@ def tracking_error(y, grads):
     """Norm of sum_i y_i - sum_i grad f_i(x_i) for an n x p tracker y and
     the n x p local gradients at x; zero in exact arithmetic for the
     gradient-tracking engines. m x n x p blocks of records give the list of
-    their m norms."""
+    their m norms, each (1 x p)(p x 1) product taken by the dot of v @ v."""
     v = _agent_sum(y) - _agent_sum(grads)
     if v.ndim == 1:
         return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
-    return [math.sqrt(e @ e) for e in v]
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
 
 
 def _agent_sum(a):

@@ -4,9 +4,9 @@ Each kind's step function consumes a state and returns a new one: one
 synchronous round of neighbor exchange plus local updates at all agents.
 run() computes the kinds on abm_step (abm, ab, ds_tracking) with a fused
 stepper instead, which applies abm_step's operations in place in blocks of
-preallocated buffers, and A and B through their multiplier callables (a
-matmul, or on a large sparse graph a gather of in-neighbors); the step
-functions stay the per-step definition.
+preallocated buffers, each round's exchange [A x; B y] as one stacked
+product (a matmul, or on a large sparse graph a gather of in-neighbors);
+the step functions stay the per-step definition.
 """
 
 import hashlib
@@ -365,14 +365,17 @@ BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
 
 def _fused_abm(state, cfg, suite, x_star):
     """(advance, rows) for analysis.iterate_blocks: abm_step's operations,
-    in its order, in place in (rows + 2, n, p) buffers of x, y and the
-    gradients, whose rows 0 and 1 are the two records before the block."""
+    in its order, in place through per-step views (built once) of an [x; y]
+    and a gradient buffer, rows 0 and 1 holding the records before a block."""
     n, p = state.x.shape
     rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
-    a, b = cfg.A.multiplier(p), cfg.B.multiplier(p)
-    X, Y, G = (np.empty((rows + 2, n, p)) for _ in range(3))
+    exchange = wt.stacked_multiplier((cfg.A, cfg.B), p)
+    XY, G = np.empty((rows + 2, 2, n, p)), np.empty((rows + 2, n, p))
+    X, Y = XY[:, 0], XY[:, 1]
     X[0], X[1], Y[1], G[1] = state.x_prev, state.x, state.y, state.grads
-    xs, ys, gs, tmp = list(X), list(Y), list(G), np.empty((n, p))
+    steps = [(XY[i - 1], XY[i], X[i - 2], X[i - 1], Y[i - 1], X[i], Y[i],
+              G[i - 1], G[i]) for i in range(2, rows + 2)]
+    tmp, gradient = np.empty((n, p)), suite.stacked_gradient
     # n x p copies: the broadcasts' products, at half the cost
     alphas, betas, x_star = (np.broadcast_to(v, (n, p)).copy() for v in
                              (cfg.alphas[:, None], cfg.betas[:, None], x_star))
@@ -380,22 +383,19 @@ def _fused_abm(state, cfg, suite, x_star):
     def advance(k, m):
         lo = 1 if k == 0 else 2  # record 0 is not stepped to
         hi = lo + m
-        for i in range(2, hi):
-            x, y, x_new, y_new = xs[i - 1], ys[i - 1], xs[i], ys[i]
-            a(x, x_new)
-            np.multiply(alphas, y, out=tmp)
-            np.subtract(x_new, tmp, out=x_new)
-            np.subtract(x, xs[i - 2], out=tmp)
-            np.multiply(betas, tmp, out=tmp)
-            np.add(x_new, tmp, out=x_new)
-            suite.stacked_gradient(x_new, out=gs[i])
-            b(y, y_new)
-            np.add(y_new, gs[i], out=y_new)
-            np.subtract(y_new, gs[i - 1], out=y_new)
+        for xy, xy_new, x_prev, x, y, x_new, y_new, g, g_new in steps[:hi - 2]:
+            exchange(xy, xy_new)
+            np.multiply(alphas, y, tmp)
+            np.subtract(x_new, tmp, x_new)
+            np.subtract(x, x_prev, tmp)
+            np.multiply(betas, tmp, tmp)
+            np.add(x_new, tmp, x_new)
+            gradient(x_new, g_new)
+            np.add(y_new, g_new, y_new)
+            np.subtract(y_new, g, y_new)
         residuals = average_residual(X[lo:hi], x_star)
         errors = tracking_error(Y[lo:hi], G[lo:hi])
-        for buf in (X, Y, G):
-            buf[:2] = buf[hi - 2:hi]
+        XY[:2], G[:2] = XY[hi - 2:hi], G[hi - 2:hi]
         return residuals.tolist(), errors
 
     return advance, rows

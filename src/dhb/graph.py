@@ -1,6 +1,6 @@
 """Strongly connected directed/undirected graphs with self-loops at every node."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -84,8 +84,13 @@ def generate_nearest_neighbor(n, ring_degree, extra_link_fraction, seed, directe
     if not (isinstance(ring_degree, Integral) and 1 <= ring_degree < n):
         raise GraphError("ring_degree must be an integer with 1 <= ring_degree"
                          f" < n, not {ring_degree!r}")
-    if not (0.0 <= extra_link_fraction <= 1.0):
-        raise GraphError("extra_link_fraction must be in [0, 1]")
+    if not (isinstance(extra_link_fraction, Real)
+            and not isinstance(extra_link_fraction, bool)
+            and 0.0 <= extra_link_fraction <= 1.0):
+        raise GraphError("extra_link_fraction must be a number in [0, 1], "
+                         f"not {extra_link_fraction!r}")
+    if not isinstance(directed, (bool, np.bool_)):
+        raise GraphError(f"directed must be a bool, not {directed!r}")
     if not (isinstance(seed, Integral) and seed >= 0):
         raise GraphError(f"seed must be an integer >= 0, not {seed!r}")
 

@@ -15,13 +15,12 @@ DOUBLY = "doubly"
 # bound on the row/column-sum errors and on the Perron residual |Wv - v|
 STOCHASTIC_TOL = 1e-12
 
-# multiplier() gathers in-neighbors when n >= NEIGHBOR_MIN_RATIO * d, for
-# d the largest in-degree (self-loop included). Per n x 2 product (medians
-# of 10 x 2,000, 3 runs, 2 cores, numpy 2.4.6): dense 8.0-10.3 us and
-# gathered 7.6-10.8 us at n = 200, d = 6; dense 59-69 us and gathered
-# 13-16 us at n = 500, d = 7; dense 1.6-2.8 us and gathered 6.9-8.7 us at
-# n = 50, d = 17. The gather costs 3 numpy calls plus n d p flops, the
-# dense product n^2 p, so they cross near n = 40 d.
+# multiplier() gathers in-neighbors when n >= NEIGHBOR_MIN_RATIO * d, for d
+# the largest in-degree (self-loop included). Per product of A and B on n x
+# 2 blocks, dense vs gathered (medians of 10 x 2,000, 3 runs, 2 cores, numpy
+# 2.4.6): 10.4-11.4 vs 5.7-6.6 us at n = 200, d = 6; 134-138 vs 13.1-13.7 us
+# at n = 500, d = 7; 1.6-1.9 vs 5.6-8.4 us at n = 50, d = 17. They cross
+# below n = 40 d, but the sides round apart: moving it would move outputs.
 NEIGHBOR_MIN_RATIO = 40
 
 
@@ -37,10 +36,10 @@ class WeightMatrix:
     other kind. Both are solved exactly on first read (perron_vectors) and
     cached; a reducible matrix constructs, but reading them raises.
 
-    multiplier(p) applies W to n x p blocks. A dense W (n < 40 d, see
-    NEIGHBOR_MIN_RATIO) is one matmul; a sparse one gathers each agent's
-    at most d in-neighbors instead, O(n d p) rather than O(n^2 p), from a
-    layout built on first use and cached like the Perron vectors.
+    multiplier(p) applies W to n x p blocks, stacked_multiplier k matrices
+    to k x n x p stacks in one product: a matmul, or if n >= 40 d (see
+    NEIGHBOR_MIN_RATIO) an O(n d p) gather of each agent's in-neighbors,
+    from a layout built on first use and cached like the Perron vectors.
     """
 
     def __init__(self, entries, kind, *, _fresh=False):
@@ -48,7 +47,13 @@ class WeightMatrix:
         # reaches the entries; the builders hand over arrays no one else
         # holds (copying them too raised the set-up time of a directed
         # n = 500 ring by 29 %: a second 2 MB buffer to page in per matrix)
-        entries = (np.asarray if _fresh else np.array)(entries, dtype=float)
+        try:
+            values = (np.asarray if _fresh else np.array)(entries)
+        except ValueError:  # rows of unequal length
+            values = None
+        if values is None or values.dtype.kind not in "iuf":
+            raise WeightError("entries must be real, in rows of equal length")
+        entries = values.astype(float, copy=False)
         n = entries.shape[0] if entries.ndim else 0
         if n == 0 or entries.shape != (n, n):
             raise WeightError("entries must be square with at least one row, "
@@ -107,22 +112,37 @@ class WeightMatrix:
         return self.n >= NEIGHBOR_MIN_RATIO * len(self._in_neighbors[0])
 
     def multiplier(self, p):
-        """(x, out) -> out = W @ x for n x p blocks x and out."""
-        if not self.sparse:
-            entries = self.entries
-            return lambda x, out: np.matmul(entries, x, out=out)
-        index, weight = self._in_neighbors
-        # buf[s, i] holds row index[s, i] of x, then its product with
-        # W[i, index[s, i]]: the d products of each agent
-        weight = np.repeat(weight[:, :, None], p, axis=2)
-        buf = np.empty(weight.shape)
+        """(x, out) -> out = W @ x for n x p blocks x and out: the one-matrix
+        stacked_multiplier."""
+        apply = stacked_multiplier([self], p)
 
-        def apply(x, out):
-            np.take(x, index, axis=0, out=buf, mode="clip")
-            np.multiply(buf, weight, out=buf)
-            return np.add.reduce(buf, axis=0, out=out)
+        def product(x, out):
+            apply(x[None], out[None])
+            return out
+        return product
 
-        return apply
+
+def stacked_multiplier(matrices, p):
+    """(x, out) -> out[j] = matrices[j] @ x[j] on k x n x p stacks: a matmul,
+    or if all are sparse a gather of in-neighbor layouts padded to one d."""
+    if not all(m.sparse for m in matrices):
+        entries = np.stack([m.entries for m in matrices])
+        return lambda x, out: np.matmul(entries, x, out)
+    k, n = len(matrices), matrices[0].n
+    d = max(len(m._in_neighbors[0]) for m in matrices)
+    # buf[s, j, i]: row index[s, j, i] of x as k n rows, times weight[s, j, i]
+    index = np.tile(np.arange(k * n).reshape(k, n), (d, 1, 1))
+    weight = np.zeros(index.shape + (p,))
+    for j, (ind, w) in enumerate(m._in_neighbors for m in matrices):
+        index[:len(ind), j], weight[:len(w), j] = ind + j * n, w[:, :, None]
+    buf = np.empty(weight.shape)
+
+    def apply(x, out):
+        np.take(x.reshape(-1, p), index, 0, buf, "clip")
+        np.multiply(buf, weight, buf)
+        return np.add.reduce(buf, 0, None, out)
+
+    return apply
 
 
 def _fixed_point(m, side):

@@ -110,6 +110,22 @@ def test_ring_degree_must_be_an_integer():
     gr.generate_nearest_neighbor(10, np.int32(2), 0.1, 0, True)
 
 
+@pytest.mark.parametrize("fraction", ["0.1", None, True, float("nan"), -0.1])
+def test_extra_link_fraction_must_be_a_number_in_the_unit_interval(fraction):
+    with pytest.raises(gr.GraphError, match="extra_link_fraction must be a "
+                                            "number in"):
+        gr.generate_nearest_neighbor(10, 2, fraction, 0, True)
+    assert gr.generate_nearest_neighbor(10, 2, np.float32(0.1), 0, True).n == 10
+
+
+@pytest.mark.parametrize("directed", ["no", 1, 0, None])
+def test_directed_must_be_a_bool(directed):
+    with pytest.raises(gr.GraphError, match="directed must be a bool"):
+        gr.generate_nearest_neighbor(10, 2, 0.1, 0, directed)
+    assert gr.generate_nearest_neighbor(10, 2, 0.1, 0,
+                                        np.False_).is_undirected()
+
+
 def test_digraph_node_count_must_be_an_integer():
     with pytest.raises(gr.GraphError, match="at least one node"):
         gr.Digraph(2.5, [])

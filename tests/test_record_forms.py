@@ -114,3 +114,66 @@ def test_tuning_grid_hashes_each_weight_matrix_once(monkeypatch, kind,
                         100, 1e-8, cache={}, **mats)
     # six grid points, one hash of each n x n matrix
     assert sum(size == n * n * 8 for size in hashed) == len(mats)
+
+
+@st.composite
+def weight_pairs(draw, sparse, same_support=True):
+    """(A, B) on one n, both dense (n < 40 d) or both gathering in-neighbors:
+    a directed graph's row- and column-stochastic matrices, an undirected
+    graph's W twice, or when not same_support the row-stochastic A of one
+    directed graph and the column-stochastic B of another."""
+    n = draw(st.integers(200, 600) if sparse else st.integers(2, 60))
+
+    def graph(directed):
+        return gr.generate_nearest_neighbor(
+            n, draw(st.integers(1, min(3, n - 1))),
+            draw(st.floats(0.0, 1e-3 if sparse else 0.3)),
+            draw(st.integers(0, 2**16)), directed)
+
+    if not same_support:
+        pair = (wt.uniform_row_stochastic(graph(True)),
+                wt.uniform_column_stochastic(graph(True)))
+    elif draw(st.booleans()):
+        g = graph(True)
+        pair = (wt.uniform_row_stochastic(g), wt.uniform_column_stochastic(g))
+    else:
+        pair = (wt.laplacian_doubly_stochastic(graph(False)),) * 2
+    assume(pair[0].sparse == pair[1].sparse == sparse)
+    return pair
+
+
+def assert_stacked_product_is_the_per_matrix_products(pair, p, seed):
+    x = np.random.default_rng(seed).standard_normal((2, pair[0].n, p))
+    out = np.full(x.shape, np.nan)
+    assert wt.stacked_multiplier(pair, p)(x, out) is out
+    for w, xj, got in zip(pair, x, out):
+        want = np.full(xj.shape, np.nan)
+        w.multiplier(p)(xj, want)
+        assert np.array_equal(got, want)
+
+
+@FORM_SETTINGS
+@given(st.booleans().flatmap(lambda sparse: weight_pairs(sparse)),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_product_is_the_per_matrix_products_bit_for_bit(pair, p,
+                                                                seed):
+    assert_stacked_product_is_the_per_matrix_products(pair, p, seed)
+
+
+@FORM_SETTINGS
+@given(st.booleans().flatmap(lambda sparse: weight_pairs(sparse, False)),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_product_of_different_supports_is_bit_for_bit(pair, p, seed):
+    # on the gather side the smaller in-degree is padded to the larger
+    assert_stacked_product_is_the_per_matrix_products(pair, p, seed)
+
+
+@FORM_SETTINGS
+@given(st.integers(1, 11), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_block_tracking_norms_are_the_per_record_dots(p, m, seed):
+    rng = np.random.default_rng(seed)
+    v = 10.0 ** rng.uniform(-10, 10, (m, 1)) * rng.standard_normal((m, p))
+    # one agent and zero gradients: the agent sums are v itself
+    errors = an.tracking_error(v[:, None, :], np.zeros((m, 1, p)))
+    want = [math.sqrt(e @ e) for e in v]
+    assert np.array(errors).tobytes() == np.array(want).tobytes()

@@ -225,6 +225,20 @@ def test_construction_rejects_malformed_matrices(entries, kind, match):
         wt.WeightMatrix(entries, kind)
 
 
+@pytest.mark.parametrize("entries", [
+    [["a"]], [[1 + 0j]], np.eye(2, dtype=complex), [[1.0], [1.0, 2.0]],
+    [[True]], None,
+], ids=["string", "complex", "complex_array", "ragged", "bool", "none"])
+def test_construction_rejects_entries_that_are_not_real_numbers(entries):
+    with pytest.raises(wt.WeightError, match="must be real, in rows of"):
+        wt.WeightMatrix(entries, wt.ROW)
+
+
+def test_construction_takes_integer_entries_as_floats():
+    w = wt.WeightMatrix([[1]], wt.DOUBLY)
+    assert w.entries.dtype == float and w.entries.tolist() == [[1.0]]
+
+
 @pytest.mark.parametrize("entries, match", [
     ([[1 - 1e-300, 1e-300], [0.5, 0.5]], "left Perron vector not strictly"),
     ([[1 - 1e-16, 1e-310, 1e-16], [1e-30, 1, 0], [1e-310, 0, 1]],
