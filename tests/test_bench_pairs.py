@@ -1,5 +1,5 @@
 """scripts/bench_pairs.py keeps the pairs it has measured when a later
-step fails."""
+step fails, and names each side's code by a hash of its sources."""
 
 import hashlib
 import importlib.util
