@@ -51,7 +51,9 @@ def generated_configs():
     and on the per-step one), beside a converging ab. Another tunes abm on
     a logistic suite over quickstart's directed graph; at its larger alpha
     the residual stays bounded and above the threshold, so those grid
-    points end at max_iter."""
+    points end at max_iter. The last tunes abm on the n = 500 ring: its grid
+    points run as one stack through the in-neighbor products, and they end
+    at the threshold (the winner among them), at max_iter and diverged."""
     quickstart = json.loads((CONFIGS / "quickstart.json").read_text())
     directed = copy.deepcopy(quickstart)
     directed["engines"] = [
@@ -103,11 +105,17 @@ def generated_configs():
         {"kind": "abm", "tune": {"alpha_grid": [0.025, 0.1, 0.2],
                                  "beta_grid": [0.0, 0.3]}}]
     directed_logistic["run"]["max_iter"] = 2000
+    tuned_ring = copy.deepcopy(ring)
+    tuned_ring["engines"] = [
+        {"kind": "abm", "tune": {"alpha_grid": [0.001, 0.002, 0.004],
+                                 "beta_grid": [0.0, 0.4]}}]
+    tuned_ring["run"].update(max_iter=800, stop_residual=0.05)
     configs = {"directed_quadratic": directed,
                "undirected_quadratic": undirected,
                "undirected_logistic": logistic, "sparse_ring": ring,
                "overflow_quadratic": overflow,
-               "directed_logistic": directed_logistic}
+               "directed_logistic": directed_logistic,
+               "tuned_ring": tuned_ring}
     for p in (1, 9):
         width = configs[f"sparse_ring_p{p}"] = copy.deepcopy(ring)
         width["objective"]["p"] = p
@@ -145,6 +153,7 @@ def commands():
         ("run_overflow_quadratic", generated["overflow_quadratic"], ["run"]),
         ("run_directed_logistic", generated["directed_logistic"], ["run"]),
         ("tune_directed_logistic", generated["directed_logistic"], ["tune"]),
+        ("run_tuned_ring", generated["tuned_ring"], ["run"]),
     ]
 
 

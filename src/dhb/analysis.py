@@ -74,11 +74,18 @@ class Trace:
         return self.meta.get("termination") == "diverged"
 
     def to_csv(self, path):
-        """csv.writer's bytes: CRLF rows, repr floats, "" for no tracking."""
+        """csv.writer's bytes: CRLF rows, repr floats, "" for no tracking;
+        an elapsed time that records share (its bits) is formatted once."""
+        ks, rs, tes, els = self._columns
+        bits = np.frombuffer(els, np.int64)
+        cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
         with open(path, "w", newline="") as f:
             f.write("k,residual,tracking_error,elapsed_s\r\n")
-            f.writelines(f"{k},{r!r},{'' if te != te else repr(te)},{el!r}\r\n"
-                         for k, r, te, el in zip(*self._columns))
+            for lo, hi in zip([0, *cuts], [*cuts, len(ks)] if ks else []):
+                tail = f",{els[lo]!r}\r\n"
+                f.writelines(f"{k},{r!r},{'' if te != te else repr(te)}{tail}"
+                             for k, r, te in zip(ks[lo:hi], rs[lo:hi],
+                                                 tes[lo:hi]))
 
 
 class _Records(Sequence):
@@ -120,71 +127,75 @@ def average_residual(x_stack, x_star):
 def tracking_error(y, grads):
     """Norm of sum_i y_i - sum_i grad f_i(x_i) for an n x p tracker y and
     the n x p local gradients at x; zero in exact arithmetic for the
-    gradient-tracking engines. m x n x p blocks of records give the list of
-    their m norms, each (1 x p)(p x 1) product taken by the dot of v @ v."""
+    gradient-tracking engines. ... x n x p blocks of records give the array
+    of their norms, each (1 x p)(p x 1) product taken by the dot of v @ v."""
     v = _agent_sum(y) - _agent_sum(grads)
     if v.ndim == 1:
         return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
 
 
 def _agent_sum(a):
-    """a.sum(axis=-2), bit for bit. On m x n x p blocks with p >= 2 it adds
-    the agents in order, as this does on an agent-major copy (each agent's
-    p floats moved as one item), in loops of m p floats rather than p."""
+    """a.sum(axis=-2), bit for bit. On ... x n x p blocks with p >= 2 it
+    adds the agents in order, as this does on an agent-major copy (each
+    agent's p floats moved as one item), in loops of m p floats, not p."""
     if a.ndim == 2 or a.shape[-1] == 1:  # at p = 1 a fast pairwise sum
         return a.sum(axis=-2)
-    m, n, p = a.shape
+    *lead, n, p = a.shape
     rows = np.ascontiguousarray(a).view(np.dtype((np.void, 8 * p)))[..., 0]
-    by_agent = np.ascontiguousarray(rows.T).view(float)  # n x m p
-    return np.add.reduce(by_agent, axis=0).reshape(m, p)
+    by_agent = np.ascontiguousarray(rows.reshape(-1, n).T).view(float)
+    return np.add.reduce(by_agent, axis=0).reshape(*lead, p)
 
 
 def iterate(state, step, measure, max_iter, stop_residual, meta):
     """iterate_blocks one record at a time: state = step(state) before each
     record but the first, measure(state) -> (residual, tracking error)."""
-    def advance(k, _):
+    def advance(k, m, live):
         nonlocal state
         if k > 0:
             state = step(state)
         res, te = measure(state)
-        return [res], [math.nan if te is None else te]
+        return [[res]], [[math.nan if te is None else te]]
 
-    return iterate_blocks(advance, 1, max_iter, stop_residual, meta)
+    return iterate_blocks(advance, max_iter, stop_residual, [meta])[0]
 
 
-def iterate_blocks(advance, rows, max_iter, stop_residual, meta):
-    """The run loop, under errstate, since the steps past a divergence
-    overflow: advance(k, m <= rows) returns the lists (residuals, tracking
-    errors, NaN for none) of records k .. k + m - 1, record k the state
+def iterate_blocks(advance, max_iter, stop_residual, metas):
+    """The run loop of points stepped together, one trace per meta, under
+    errstate, since the steps past a divergence overflow: advance(k, m,
+    live) steps the points still running (`live`, indices into metas) and
+    returns for each the lists (residuals, tracking errors, NaN for none)
+    of records k .. k + j - 1, the same j <= m for all, record k the state
     after step k; a non-finite residual is recorded as inf without tracking
-    error. Stops at max_iter, below stop_residual, or after a step whose
-    residual is above 1e12 or not finite ("diverged", flagged so that
-    parameter searches go on past unstable points); records past the stop
-    are dropped. Elapsed times are taken at the end of each block."""
-    trace = Trace(meta=dict(meta, termination="max_iter"))
-    t0 = time.perf_counter()
-    k = 0
+    error. A point stops at max_iter, below stop_residual, or after a step
+    whose residual is above 1e12 or not finite ("diverged", flagged so that
+    parameter searches go on past unstable points), dropping its records
+    past the stop. Elapsed times are taken at the end of each block."""
+    traces = [Trace(meta=dict(meta, termination="max_iter")) for meta in metas]
+    live, k, t0 = list(range(len(traces))), 0, time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        while k <= max_iter:
-            residuals, errors = advance(k, min(rows, max_iter + 1 - k))
-            for i, res in enumerate(residuals):
-                if not math.isfinite(res):
-                    res = residuals[i] = math.inf
-                    errors[i] = math.nan
-                if k + i > 0 and res > DIVERGENCE_RESIDUAL:
-                    end = "diverged"
-                elif res < stop_residual:
-                    end = "threshold"
+        while live and k <= max_iter:
+            block = advance(k, max_iter + 1 - k, live)
+            elapsed, running = time.perf_counter() - t0, []
+            m = len(block[0][0])
+            for j, residuals, errors in zip(live, *block):
+                for i, res in enumerate(residuals):
+                    if not math.isfinite(res):
+                        res = residuals[i] = math.inf
+                        errors[i] = math.nan
+                    if k + i > 0 and res > DIVERGENCE_RESIDUAL:
+                        traces[j].meta["termination"] = "diverged"
+                    elif res < stop_residual:
+                        traces[j].meta["termination"] = "threshold"
+                    else:
+                        continue
+                    del residuals[i + 1:], errors[i + 1:]
+                    break
                 else:
-                    continue
-                trace.meta["termination"] = end
-                trace.extend(k, residuals[:i + 1], errors[:i + 1],
-                             time.perf_counter() - t0)
-                return trace
-            trace.extend(k, residuals, errors, time.perf_counter() - t0)
-            k += len(residuals)
-    return trace
+                    running.append(j)
+                traces[j].extend(k, residuals, errors, elapsed)
+            live, k = running, k + m
+    return traces
 
 
 def grid_argmin(alpha_grid, beta_grid, score):

@@ -6,16 +6,22 @@ run() computes the kinds on abm_step (abm, ab, ds_tracking) with a fused
 stepper instead, which applies abm_step's operations in place in blocks of
 preallocated buffers, each round's exchange [A x; B y] as one stacked
 product (a matmul, or on a large sparse graph a gather of in-neighbors);
-the step functions stay the per-step definition.
+the step functions stay the per-step definition. The fused stepper steps
+a stack of configs that share the weights and x0: a run is a stack of
+one, and tune_parameters runs a grid's uncached points as one stack,
+dropping each point from it as it stops.
 """
 
+import contextlib
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .analysis import (average_residual, grid_argmin, iterate, iterate_blocks,
+from .analysis import (average_residual, grid_argmin, iterate_blocks,
                        iterations_to_threshold, tracking_error)
 from .errors import DhbError
 from . import weights as wt
@@ -324,8 +330,8 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     """Iterate an engine, recording the average residual per iteration.
 
     Stops at max_iter, below stop_residual, or on divergence (see
-    analysis.iterate). `cache` is a dict holding the runs of one suite
-    (None: a fresh one): a run whose step function, alphas, betas,
+    analysis.iterate_blocks). `cache` is a dict holding the runs of one
+    suite (None: a fresh one): a run whose step function, alphas, betas,
     weights, x0, max_iter and stop_residual are already in it is not
     computed again, and comes back as a trace sharing the cached records
     with its own meta (`cached=True`). Kinds that share a step share runs:
@@ -333,56 +339,95 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
     one without momentum.
     """
     cache = {} if cache is None else cache
-    digest = cfg.digest()
-    # everything the trajectory depends on, besides the suite
-    x0 = np.asarray(x0, dtype=float)
-    key = (ENGINES[cfg.kind].step, digest, x0.shape, _digest(x0),
-           int(max_iter), float(stop_residual))
+    key = _run_key(cfg, x0, max_iter, stop_residual)
     hit = cache.get(key)
     if hit is None:
-        cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual,
-                                  digest)
+        cache[key] = trace = _run(cfg, suite, x0, max_iter, stop_residual)
         return trace.with_meta(dict(trace.meta))
     return hit.with_meta(dict(hit.meta, engine=cfg.kind, cached=True))
 
 
-def _run(cfg, suite, x0, max_iter, stop_residual, digest):
-    """The run itself; run() adds the cache around it."""
+def _run_key(cfg, x0, max_iter, stop_residual):
+    """Everything the trajectory depends on, besides the suite."""
+    x0 = np.asarray(x0, dtype=float)
+    return (ENGINES[cfg.kind].step, cfg.digest(), x0.shape, _digest(x0),
+            int(max_iter), float(stop_residual))
+
+
+def _run(cfg, suite, x0, max_iter, stop_residual):
+    """The run itself; run() adds the cache around it. A per-step kind
+    measures a block of states at once; a step that raises ends the block
+    and raises on the next call, unless a record before it stops the run."""
+    if ENGINES[cfg.kind].step is abm_step:
+        return _fused_abm([cfg], suite, x0, max_iter, stop_residual)[0]
     x_star = suite.minimizer()
-    state = init_state(cfg, suite, x0)
-    meta = {"engine": cfg.kind, "config": digest}
-    if ENGINES[cfg.kind].step is abm_step:  # it cannot raise: step ahead
-        return iterate_blocks(*_fused_abm(state, cfg, suite, x_star),
-                              max_iter, stop_residual, meta)
-    step = STEP_FUNCTIONS[cfg.kind]
-    return iterate(state, lambda st: step(st, cfg, suite),
-                   lambda st: (average_residual(st.x, x_star), None),
-                   max_iter, stop_residual, meta)
+    state, step = init_state(cfg, suite, x0), STEP_FUNCTIONS[cfg.kind]
+    rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // state.x.size))
+    xs, failed = np.empty((rows,) + state.x.shape), []
+
+    def advance(k, m, _):
+        nonlocal state
+        if failed:
+            raise failed[0]
+        for i in range(min(m, len(xs))):
+            try:
+                state = step(state, cfg, suite) if k + i > 0 else state
+            except EngineError as exc:
+                failed.append(exc)
+                m = i  # the records before it
+                break
+            xs[i] = state.x
+        m = min(m, len(xs))
+        return [average_residual(xs[:m], x_star).tolist()], [[math.nan] * m]
+
+    meta = {"engine": cfg.kind, "config": cfg.digest()}
+    return iterate_blocks(advance, max_iter, stop_residual, [meta])[0]
 
 
 BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
 
 
-def _fused_abm(state, cfg, suite, x_star):
-    """(advance, rows) for analysis.iterate_blocks: abm_step's operations,
-    in its order, in place through per-step views (built once) of an [x; y]
-    and a gradient buffer, rows 0 and 1 holding the records before a block."""
+def _fused_abm(cfgs, suite, x0, max_iter, stop_residual):
+    """The traces of fused-kind configs sharing (A, B) and x0, run as one
+    stack of G points: abm_step's operations, in its order, in place through
+    per-step views (built once per stack) of an [x; y] buffer (rows + 2, 2,
+    G, n, p) and a gradient buffer, rows 0 and 1 holding the records before
+    a block. Each round's exchange [A x; B y] is one product: an (n x n)(n x
+    p) product per matrix and point, as a stack of one takes. A point that
+    stopped leaves the stack, which shrinks, before the next block."""
+    x_star = suite.minimizer()
+    state = init_state(cfgs[0], suite, x0)
     n, p = state.x.shape
-    rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (n * p)))
-    exchange = wt.stacked_multiplier((cfg.A, cfg.B), p)
-    XY, G = np.empty((rows + 2, 2, n, p)), np.empty((rows + 2, n, p))
-    X, Y = XY[:, 0], XY[:, 1]
-    X[0], X[1], Y[1], G[1] = state.x_prev, state.x, state.y, state.grads
-    steps = [(XY[i - 1], XY[i], X[i - 2], X[i - 1], Y[i - 1], X[i], Y[i],
-              G[i - 1], G[i]) for i in range(2, rows + 2)]
-    tmp, gradient = np.empty((n, p)), suite.stacked_gradient
-    # n x p copies: the broadcasts' products, at half the cost
-    alphas, betas, x_star = (np.broadcast_to(v, (n, p)).copy() for v in
-                             (cfg.alphas[:, None], cfg.betas[:, None], x_star))
+    # (G, n, p) copies: the broadcasts' products, at half the cost
+    alphas, betas = (np.stack([np.broadcast_to(v[:, None], (n, p))
+                               for v in vs]) for vs in
+                     zip(*((cfg.alphas, cfg.betas) for cfg in cfgs)))
+    x_star = np.broadcast_to(x_star, (n, p)).copy()
+    gradient = suite.stacked_gradient
 
-    def advance(k, m):
+    def restack(points, xy, grads):
+        """Buffers, per-step views, exchange, scratch and coefficients of a
+        stack of the points, xy and grads their records before a block. The
+        exchange takes XY[i] as 2 g n x p blocks, for A g times, then B."""
+        g = len(points)
+        rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (g * n * p)))
+        XY, D = np.empty((rows + 2, 2, g, n, p)), np.empty((rows + 2, g, n, p))
+        XY[:2], D[:2], X, Y = xy, grads, XY[:, 0], XY[:, 1]
+        steps = [(XY[i - 1].reshape(-1, n, p), XY[i].reshape(-1, n, p),
+                  X[i - 2], X[i - 1], Y[i - 1], X[i], Y[i], D[i - 1], D[i])
+                 for i in range(2, rows + 2)]
+        exchange = wt.stacked_multiplier([cfgs[0].A] * g + [cfgs[0].B] * g, p)
+        return (points, XY, D, steps, exchange, np.empty((g, n, p)),
+                alphas[points], betas[points])
+
+    def advance(k, m, live):
+        nonlocal stack
+        if live != stack[0]:
+            keep = [stack[0].index(j) for j in live]
+            stack = restack(live, stack[1][:2, :, keep], stack[2][:2, keep])
+        _, XY, D, steps, exchange, tmp, alphas, betas = stack
         lo = 1 if k == 0 else 2  # record 0 is not stepped to
-        hi = lo + m
+        hi = lo + min(m, len(steps))
         for xy, xy_new, x_prev, x, y, x_new, y_new, g, g_new in steps[:hi - 2]:
             exchange(xy, xy_new)
             np.multiply(alphas, y, tmp)
@@ -393,12 +438,16 @@ def _fused_abm(state, cfg, suite, x_star):
             gradient(x_new, g_new)
             np.add(y_new, g_new, y_new)
             np.subtract(y_new, g, y_new)
-        residuals = average_residual(X[lo:hi], x_star)
-        errors = tracking_error(Y[lo:hi], G[lo:hi])
-        XY[:2], G[:2] = XY[hi - 2:hi], G[hi - 2:hi]
-        return residuals.tolist(), errors
+        residuals = average_residual(XY[lo:hi, 0], x_star)
+        errors = tracking_error(XY[lo:hi, 1], D[lo:hi])
+        XY[:2], D[:2] = XY[hi - 2:hi], D[hi - 2:hi]
+        return residuals.T.tolist(), errors.T.tolist()
 
-    return advance, rows
+    stack = restack(list(range(len(cfgs))), np.array([
+        [state.x_prev, state.y], [state.x, state.y]])[:, :, None],
+        np.array([state.grads] * 2)[:, None])
+    metas = [{"engine": cfg.kind, "config": cfg.digest()} for cfg in cfgs]
+    return iterate_blocks(advance, max_iter, stop_residual, metas)
 
 
 def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,
@@ -408,8 +457,23 @@ def tune_parameters(kind, suite, x0, alpha_grid, beta_grid, max_iter,
     Ties go to the first grid point. Returns (alpha*, beta*, iterations*),
     all None when no grid point reaches the threshold; a point that raises
     EngineError or diverges never reaches it. Every point runs through
-    `cache` (see run).
+    `cache` (see run); a fused kind's points that miss it run first, as one
+    stack (_fused_abm), and are stored under run's keys.
     """
+    cache = {} if cache is None else cache
+    if kind in ENGINES and ENGINES[kind].step is abm_step:
+        missing = {}  # run key -> config of each point not in the cache
+        for alpha, beta in itertools.product(alpha_grid, beta_grid):
+            with contextlib.suppress(EngineError):
+                cfg = make_config(kind, suite.n, alpha, beta, **matrices)
+                key = _run_key(cfg, x0, max_iter, threshold)
+                if key not in cache:
+                    missing.setdefault(key, cfg)
+        with contextlib.suppress(EngineError):  # each run below raises it
+            if missing:
+                cache.update(zip(missing, _fused_abm(
+                    list(missing.values()), suite, x0, max_iter, threshold)))
+
     def iterations(alpha, beta):
         try:
             cfg = make_config(kind, suite.n, alpha, beta, **matrices)

@@ -17,10 +17,10 @@ class ObjectiveSuite:
     agents, plus F's constants.
 
     A quadratic suite holds the (n, p) stacks 2q and b of f_i(x) =
-    x^T diag(q_i) x + b_i^T x. A logistic suite holds the augmented samples
-    (c_j, 1) as one (n, m, p) array and the labels y_j in {-1, +1} as one
-    (n, m) array; z = (b, c) in R^p is a weight vector plus an
-    unregularized intercept.
+    x^T diag(q_i) x + b_i^T x (repeated to the shape of the last points). A
+    logistic suite holds the augmented samples (c_j, 1) as one (n, m, p)
+    array and the labels y_j in {-1, +1} as one (n, m) array; z = (b, c) in
+    R^p is a weight vector plus an unregularized intercept.
 
     mu and lip are strong-convexity/smoothness constants for F; for
     quadratic suites they are exact (extreme eigenvalues of the summed
@@ -41,8 +41,17 @@ class ObjectiveSuite:
         self._minimizer = None
 
     def stacked_gradient(self, x_stack, out=None):
-        """Gradients of all agents at their own points (n x p), into out."""
+        """Gradients of all agents at their own points (n x p, or a stack of
+        such points), into out."""
         if self.kind == "quadratic":
+            if x_stack.shape != self._q2_stack.shape:
+                # 2q and b copied to the gradients' shape, for products of
+                # equal shapes without numpy's broadcasting set-up
+                shape = np.broadcast_shapes(x_stack.shape, (self.n, self.p))
+                self._q2_stack, self._b_stack = (
+                    np.broadcast_to(a.reshape(-1, self.n, self.p)[0],
+                                    shape).copy()
+                    for a in (self._q2_stack, self._b_stack))
             out = np.multiply(self._q2_stack, x_stack, out=out)
             return np.add(out, self._b_stack, out=out)
         return self._logistic_gradients(x_stack, out)
@@ -50,7 +59,7 @@ class ObjectiveSuite:
     def _logistic_gradients(self, x_stack, out=None):
         # intercept zeroed after the product: 0.0 * z is -0.0 where z < 0
         ridge = self.reg * x_stack
-        ridge[:, -1] = 0.0
+        ridge[..., -1] = 0.0
         weighted = (self._labels * self._sigma(x_stack))[..., None]
         out = np.negative(np.matmul(self._aug_t, weighted)[..., 0], out=out)
         return np.add(out, ridge, out=out)

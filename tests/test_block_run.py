@@ -52,8 +52,11 @@ def columns(rows):
             np.array(tes).tobytes())
 
 
-def assert_matches_per_step(cfg, suite, x0, max_iter, stop_residual):
-    trace = eng.run(cfg, suite, x0, max_iter, stop_residual)
+def assert_matches_per_step(cfg, suite, x0, max_iter, stop_residual,
+                            trace=None):
+    """The trace (by default engines.run's) against the plain loop."""
+    if trace is None:
+        trace = eng.run(cfg, suite, x0, max_iter, stop_residual)
     rows, termination = per_step(cfg, suite, x0, max_iter, stop_residual)
     assert trace.meta["termination"] == termination
     got = [(r.k, r.residual, r.tracking_error) for r in trace.records]
@@ -80,20 +83,23 @@ def setup(n=6, p=2, seed=0, directed=True):
 
 def shipped_runs(monkeypatch, name, verb="run", **run):
     """Every abm/ab run that `verb` computes on a shipped config, with its
-    arguments; `run` overrides keys of the config's run section. The other
-    engines are left out: they share no run with abm and ab."""
+    arguments and its trace; `run` overrides keys of the config's run
+    section. Every config that engines._fused_abm computes is recorded,
+    each tuned point of a stack and each one-point stack of engines.run.
+    The other engines are left out: they share no run with abm and ab."""
     cfg = hs.parse_config(CONFIGS / f"{name}.json")
     cfg["run"].update(run)
     cfg["engines"] = [e for e in cfg["engines"] if e["kind"] in FUSED_KINDS]
     runs = []
-    compute = eng._run
+    compute = eng._fused_abm
 
-    def recorded(cfg, suite, x0, max_iter, stop_residual, digest):
-        if cfg.kind in FUSED_KINDS:
-            runs.append((cfg, suite, x0, max_iter, stop_residual))
-        return compute(cfg, suite, x0, max_iter, stop_residual, digest)
+    def recorded(cfgs, suite, x0, max_iter, stop_residual):
+        traces = compute(cfgs, suite, x0, max_iter, stop_residual)
+        runs.extend((cfg, suite, x0, max_iter, stop_residual, trace)
+                    for cfg, trace in zip(cfgs, traces))
+        return traces
 
-    monkeypatch.setattr(eng, "_run", recorded)
+    monkeypatch.setattr(eng, "_fused_abm", recorded)
     try:
         if verb == "run":
             hs.run_experiment(cfg)
@@ -219,6 +225,16 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
             (123456789, 2.0 ** -1074, 1.0, 0.0)]
     for row in rows:
         trace.append(*row)
+    # blocks of records that share one elapsed time; equal times of two
+    # blocks run on, and -0.0 is not 0.0
+    nan = float("nan")
+    for k, residuals, tes, elapsed in [
+            (5, [0.5, 0.25, 1 / 3], [0.1, nan, 2.0], 1.5),
+            (8, [1e-9], [nan], 1.5), (9, [2.0, 3.0], [1.0, 1e300], -0.0),
+            (11, [4.0, 0.5], [nan] * 2, 0.0)]:
+        trace.extend(k, residuals, tes, elapsed)
+        rows += [(k + i, r, te, elapsed)
+                 for i, (r, te) in enumerate(zip(residuals, tes))]
     trace.to_csv(tmp_path / "fast.csv")
     with open(tmp_path / "writer.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -229,3 +245,6 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
         )
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "writer.csv").read_bytes())
+    an.Trace().to_csv(tmp_path / "empty.csv")
+    assert ((tmp_path / "empty.csv").read_bytes()
+            == b"k,residual,tracking_error,elapsed_s\r\n")

@@ -363,9 +363,23 @@ def log_kinds(monkeypatch, name):
     return kinds
 
 
+def log_computed_kinds(monkeypatch):
+    """Wrap engines._fused_abm to log the engine kind of every config it
+    computes, one stack or one engines.run at a time."""
+    kinds = []
+    fn = eng._fused_abm
+
+    def logged(cfgs, *args, **kwargs):
+        kinds.extend(cfg.kind for cfg in cfgs)
+        return fn(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(eng, "_fused_abm", logged)
+    return kinds
+
+
 def test_run_experiment_computes_each_trajectory_once(tmp_path, monkeypatch):
     runs = log_kinds(monkeypatch, "run")
-    computed = log_kinds(monkeypatch, "_run")
+    computed = log_computed_kinds(monkeypatch)
     traces, _ = hs.run_experiment(tuned_pair_config(tmp_path))
     # the abm grid's four points; ab's grid is abm's beta = 0 column, and
     # each winner was run while tuning
