@@ -1,6 +1,7 @@
 """A stack of a fused kind's configs, stepped as one, against one engines.run
 call per config: point by point the same records and termination, bit for
-bit, on both sides of the exchange and on both objective families."""
+bit, on both sides of the exchange and on both objective families; tuning
+through one stack; and the quadratic gradient on points of any shape."""
 
 import math
 from unittest import mock
