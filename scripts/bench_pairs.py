@@ -39,7 +39,9 @@ METRICS = {"wall_s": "lower", "setup_s": "lower",
 # directed), iterations): abm and ab on the reference graph (n = 50), abm
 # on rings like the large_ring workload's (n = 500) at n = 200, near where
 # A and B switch to in-neighbor products, and at n = 1000, ds_tracking on
-# undirected graphs; each run has a fixed length.
+# undirected graphs; then kinds that step one state at a time: extra on an
+# undirected graph, addopt, transformed_exact and heavy_ball on the
+# reference graph. Each run has a fixed length.
 MICRO_RUNS = {
     "abm n=50": ("abm", (50, 6, 0.1, 17, True), 20000),
     "ab n=50": ("ab", (50, 6, 0.1, 17, True), 20000),
@@ -48,6 +50,11 @@ MICRO_RUNS = {
     "abm n=1000": ("abm", (1000, 3, 3e-4, 1, True), 1000),
     "ds_tracking n=20": ("ds_tracking", (20, 2, 0.05, 7, False), 20000),
     "ds_tracking n=200": ("ds_tracking", (200, 2, 0.05, 7, False), 5000),
+    "extra n=50": ("extra", (50, 2, 0.05, 7, False), 5000),
+    "addopt n=50": ("addopt", (50, 6, 0.1, 17, True), 5000),
+    "transformed_exact n=50": ("transformed_exact", (50, 6, 0.1, 17, True),
+                               5000),
+    "heavy_ball n=50": ("heavy_ball", (50, 6, 0.1, 17, True), 5000),
 }
 
 
@@ -80,19 +87,22 @@ def bench_once(checkout, workload, seed):
 
 def micro(repeats=5):
     """Median µs per iteration of each MICRO_RUNS run, through engines.run
-    and through a per-step analysis.iterate loop over STEP_FUNCTIONS, in
-    the dhb on sys.path; printed as JSON."""
+    and through a plain per-record loop over STEP_FUNCTIONS that measures
+    what the run records, in the dhb on sys.path; printed as JSON."""
     import numpy as np
     from dhb import analysis, engines, graph, harness
 
     def per_step(cfg, suite, x0, iters):
         step = engines.STEP_FUNCTIONS[cfg.kind]
+        tracked = step is engines.abm_step  # the kinds that record it
         x_star = suite.minimizer()
-        analysis.iterate(
-            engines.init_state(cfg, suite, x0), lambda s: step(s, cfg, suite),
-            lambda s: (analysis.average_residual(s.x, x_star),
-                       analysis.tracking_error(s.y, s.grads)),
-            iters, 0.0, {})
+        state = engines.init_state(cfg, suite, x0)
+        for k in range(iters + 1):
+            if k > 0:
+                state = step(state, cfg, suite)
+            analysis.average_residual(state.x, x_star)
+            if tracked:
+                analysis.tracking_error(state.y, state.grads)
 
     us = {}
     for label, (kind, gcfg, iters) in MICRO_RUNS.items():

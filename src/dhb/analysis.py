@@ -14,6 +14,7 @@ from .errors import DhbError
 DIVERGENCE_RESIDUAL = 1e12
 RATE_FIT_FLOOR = 1e-14  # residuals at or below it are roundoff
 RATE_FIT_TAIL = 0.5  # the fraction of records a rate fit reads
+BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most records and floats of x per block
 
 
 class AnalysisError(DhbError):
@@ -147,15 +148,34 @@ def _agent_sum(a):
     return np.add.reduce(by_agent, axis=0).reshape(*lead, p)
 
 
-def iterate(state, step, measure, max_iter, stop_residual, meta):
-    """iterate_blocks one record at a time: state = step(state) before each
-    record but the first, measure(state) -> (residual, tracking error)."""
-    def advance(k, m, live):
+def block_rows(floats):
+    """Records per block when one record holds `floats` floats of x."""
+    return max(1, min(BLOCK_ROWS, BLOCK_FLOATS // floats))
+
+
+def iterate(state, step, x_of, x_star, max_iter, stop_residual, meta):
+    """iterate_blocks of one stepped state: state = step(state) before each
+    record but the first, x_of(state) copied into a block buffer and each
+    block measured by one average_residual call, with no tracking error. A
+    step that raises DhbError ends its block and is raised on the next
+    call, unless a record before it stops the run."""
+    x = x_of(state)
+    xs, failed = np.empty((block_rows(x.size),) + x.shape), []
+
+    def advance(k, m, _):
         nonlocal state
-        if k > 0:
-            state = step(state)
-        res, te = measure(state)
-        return [[res]], [[math.nan if te is None else te]]
+        if failed:
+            raise failed[0]
+        m = min(m, len(xs))
+        for i in range(m):
+            try:
+                state = step(state) if k + i > 0 else state
+            except DhbError as exc:
+                failed.append(exc)
+                m = i  # the records before it
+                break
+            xs[i] = x_of(state)
+        return [average_residual(xs[:m], x_star).tolist()], [[math.nan] * m]
 
     return iterate_blocks(advance, max_iter, stop_residual, [meta])[0]
 

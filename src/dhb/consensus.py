@@ -10,11 +10,12 @@ depend on p: the coordinates are the columns of one stacked state.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .analysis import average_residual, grid_argmin, iterate
-from .errors import DhbError
+from .analysis import grid_argmin, iterate
+from .errors import DhbError, real_array
 from . import weights as wt
 
 
@@ -34,9 +35,11 @@ class ConsensusSystem:
 
 def _momentum_system(A, B, alpha, beta):
     """(H, H_inf) of the momentum system on [x_{k+1}; y_{k+1}; x_k]."""
-    if A.kind != wt.ROW or B.kind != wt.COLUMN:
-        raise ConsensusError("need a row-stochastic A and column-stochastic B")
-    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
+    if (getattr(A, "kind", None) != wt.ROW
+            or getattr(B, "kind", None) != wt.COLUMN or A.n != B.n):
+        raise ConsensusError("need a row-stochastic A and column-stochastic B"
+                             " of one size")
+    if not all(isinstance(v, Real) and 0 <= v < np.inf for v in (alpha, beta)):
         raise ConsensusError("alpha and beta must be finite and nonnegative")
     n = A.n
     eye = np.eye(n)
@@ -74,7 +77,7 @@ def initial_stack(sys_, values):
     """Stacked initial state [x_0; y_0; x_{-1}] = [values; 0; values], cut to
     the system size; x_{-1} = x_0 makes the first momentum difference zero.
     Values of shape (n,) or (n, p), p >= 1, give one column per coordinate."""
-    values = np.asarray(values, dtype=float)
+    values = real_array(values, ConsensusError, "values")
     if values.ndim not in (1, 2) or len(values) != sys_.n or values.size == 0:
         raise ConsensusError(f"values must have shape ({sys_.n},) or "
                              f"({sys_.n}, p) for p >= 1, not {values.shape}")
@@ -86,14 +89,11 @@ def initial_stack(sys_, values):
 def consensus_run(sys_, values, max_iter, tol=0.0):
     """Iterate the linear system from values of shape (n,) or (n, p),
     recording (1/n) sum_i ||x_i - mean(values)||."""
-    state = initial_stack(sys_, values)
-    mean = state[:sys_.n].mean(axis=0)
-    return iterate(
-        state, lambda s: sys_.H @ s,
-        lambda s: (average_residual(s[:sys_.n], mean), None), max_iter, tol,
-        {"engine": f"consensus_{sys_.form}", "alpha": sys_.alpha,
-         "beta": sys_.beta},
-    )
+    state, n = initial_stack(sys_, values), sys_.n
+    return iterate(state, sys_.H.__matmul__, lambda s: s[:n],
+                   state[:n].mean(axis=0), max_iter, tol,
+                   {"engine": f"consensus_{sys_.form}", "alpha": sys_.alpha,
+                    "beta": sys_.beta})
 
 
 def effective_radius(sys_):
@@ -108,9 +108,10 @@ def effective_radius(sys_):
 
 def build_system(A, B, alpha, beta, form):
     """The system of `form` at (alpha, beta); surplus has no momentum."""
-    if form == "abmc":
+    named = form if isinstance(form, str) else None  # no array compares
+    if named == "abmc":
         return abmc_build(A, B, alpha, beta)
-    if form == "surplus" and beta == 0:
+    if named == "surplus" and isinstance(beta, Real) and beta == 0:
         return surplus_build(A, B, alpha)
     raise ConsensusError(f"unknown form {form!r} at beta {beta!r}: "
                          "abmc, or surplus at beta 0")

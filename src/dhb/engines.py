@@ -15,15 +15,16 @@ dropping each point from it as it stops.
 import contextlib
 import hashlib
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (average_residual, grid_argmin, iterate_blocks,
-                       iterations_to_threshold, tracking_error)
-from .errors import DhbError
+from .analysis import (average_residual, block_rows, grid_argmin, iterate,
+                       iterate_blocks, iterations_to_threshold,
+                       tracking_error)
+from .errors import DhbError, real_array
 from . import weights as wt
 
 EIGEN_ESTIMATE_FLOOR = 1e3 * np.finfo(float).tiny
@@ -123,8 +124,7 @@ def _per_agent(value, n):
                       f"one number per agent ({n}), not {value!r}")
 
 
-@dataclass(frozen=True)
-class AlgorithmState:
+class AlgorithmState(NamedTuple):
     """Stacked per-agent state; unused fields stay None for a given engine."""
 
     x: np.ndarray                 # n x p current estimates
@@ -145,7 +145,7 @@ def init_state(cfg, suite, x0):
     x0's first row. extra and ab_extra prime their second history on the
     first step call, the one whose state has no grads_prev.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = real_array(x0, EngineError, "x0")
     if len(cfg.alphas) != suite.n:
         raise EngineError(f"the config has {len(cfg.alphas)} agents, the "
                           f"suite {suite.n}")
@@ -159,11 +159,11 @@ def init_state(cfg, suite, x0):
         x=x0, x_prev=np.zeros_like(x0), y=grads.copy(), grads=grads
     )
     if cfg.kind == "addopt":
-        return replace(state, z=x0.copy(), w=np.ones(suite.n))
+        return state._replace(z=x0.copy(), w=np.ones(suite.n))
     if cfg.kind == "frost":
-        return replace(state, V=np.eye(suite.n))
+        return state._replace(V=np.eye(suite.n))
     if cfg.kind == "transformed_exact":
-        return replace(state, z=cfg.perron_similarity[0][:, None] * x0)
+        return state._replace(z=cfg.perron_similarity[0][:, None] * x0)
     return state
 
 
@@ -178,7 +178,7 @@ def abm_step(state, cfg, suite):
     )
     grads_new = suite.stacked_gradient(x_new)
     y_new = b @ state.y + grads_new - state.grads
-    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new)
+    return state._replace(x=x_new, x_prev=state.x, y=y_new, grads=grads_new)
 
 
 # ab is abm with beta = 0, and ds_tracking is ab on (A, B) = (W, W); make_config
@@ -197,8 +197,8 @@ def two_history_step(state, cfg, suite):
         x_new = (current(state.x) - previous(state.x_prev)
                  - alpha * (state.grads - state.grads_prev))
     grads_new = suite.stacked_gradient(x_new)
-    return replace(state, x=x_new, x_prev=state.x,
-                   grads=grads_new, grads_prev=state.grads)
+    return state._replace(x=x_new, x_prev=state.x, grads=grads_new,
+                          grads_prev=state.grads)
 
 
 # extra and ab_extra differ only in their maps; ab_extra gives ab_step's
@@ -221,8 +221,8 @@ def addopt_step(state, cfg, suite):
     x_new = z_new / w_new[:, None]
     grads_new = suite.stacked_gradient(x_new)
     y_new = b @ state.y + grads_new - state.grads
-    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-                   z=z_new, w=w_new)
+    return state._replace(x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                          z=z_new, w=w_new)
 
 
 def frost_step(state, cfg, suite):
@@ -240,8 +240,8 @@ def frost_step(state, cfg, suite):
         raise EngineError("eigenvector estimate degenerated to zero")
     grads_new = suite.stacked_gradient(x_new) / d_new[:, None]
     y_new = a @ state.y + grads_new - state.grads
-    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-                   V=v_new)
+    return state._replace(x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                          V=v_new)
 
 
 def transformed_ab_exact_step(state, cfg, suite):
@@ -253,8 +253,8 @@ def transformed_ab_exact_step(state, cfg, suite):
     x_new = z_new / scale[:, None]
     grads_new = suite.stacked_gradient(x_new)
     y_new = cfg.B.entries @ state.y + grads_new - state.grads
-    return replace(state, x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
-                   z=z_new)
+    return state._replace(x=x_new, x_prev=state.x, y=y_new, grads=grads_new,
+                          z=z_new)
 
 
 def centralized_hb_step(x, x_prev, alpha, beta, suite):
@@ -275,7 +275,7 @@ def centralized_step(state, cfg, suite):
     """Heavy-ball on the global cost; gd is its beta = 0 setting."""
     x_new, x = centralized_hb_step(state.x, state.x_prev, cfg.alphas[0],
                                    cfg.betas[0], suite)
-    return replace(state, x=x_new, x_prev=x)
+    return state._replace(x=x_new, x_prev=x)
 
 
 @dataclass(frozen=True)
@@ -349,42 +349,19 @@ def run(cfg, suite, x0, max_iter, stop_residual=0.0, cache=None):
 
 def _run_key(cfg, x0, max_iter, stop_residual):
     """Everything the trajectory depends on, besides the suite."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = real_array(x0, EngineError, "x0")
     return (ENGINES[cfg.kind].step, cfg.digest(), x0.shape, _digest(x0),
             int(max_iter), float(stop_residual))
 
 
 def _run(cfg, suite, x0, max_iter, stop_residual):
-    """The run itself; run() adds the cache around it. A per-step kind
-    measures a block of states at once; a step that raises ends the block
-    and raises on the next call, unless a record before it stops the run."""
+    """The run itself; run() adds the cache around it."""
     if ENGINES[cfg.kind].step is abm_step:
         return _fused_abm([cfg], suite, x0, max_iter, stop_residual)[0]
-    x_star = suite.minimizer()
-    state, step = init_state(cfg, suite, x0), STEP_FUNCTIONS[cfg.kind]
-    rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // state.x.size))
-    xs, failed = np.empty((rows,) + state.x.shape), []
-
-    def advance(k, m, _):
-        nonlocal state
-        if failed:
-            raise failed[0]
-        for i in range(min(m, len(xs))):
-            try:
-                state = step(state, cfg, suite) if k + i > 0 else state
-            except EngineError as exc:
-                failed.append(exc)
-                m = i  # the records before it
-                break
-            xs[i] = state.x
-        m = min(m, len(xs))
-        return [average_residual(xs[:m], x_star).tolist()], [[math.nan] * m]
-
-    meta = {"engine": cfg.kind, "config": cfg.digest()}
-    return iterate_blocks(advance, max_iter, stop_residual, [meta])[0]
-
-
-BLOCK_ROWS, BLOCK_FLOATS = 64, 16384  # most steps and floats of x per block
+    x_star, step = suite.minimizer(), STEP_FUNCTIONS[cfg.kind]
+    return iterate(init_state(cfg, suite, x0), lambda s: step(s, cfg, suite),
+                   lambda s: s.x, x_star, max_iter, stop_residual,
+                   {"engine": cfg.kind, "config": cfg.digest()})
 
 
 def _fused_abm(cfgs, suite, x0, max_iter, stop_residual):
@@ -410,7 +387,7 @@ def _fused_abm(cfgs, suite, x0, max_iter, stop_residual):
         stack of the points, xy and grads their records before a block. The
         exchange takes XY[i] as 2 g n x p blocks, for A g times, then B."""
         g = len(points)
-        rows = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // (g * n * p)))
+        rows = block_rows(g * n * p)
         XY, D = np.empty((rows + 2, 2, g, n, p)), np.empty((rows + 2, g, n, p))
         XY[:2], D[:2], X, Y = xy, grads, XY[:, 0], XY[:, 1]
         steps = [(XY[i - 1].reshape(-1, n, p), XY[i].reshape(-1, n, p),

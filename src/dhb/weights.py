@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DhbError
+from .errors import DhbError, real_array
 from . import graph as gr
 
 ROW = "row"
@@ -15,12 +15,12 @@ DOUBLY = "doubly"
 # bound on the row/column-sum errors and on the Perron residual |Wv - v|
 STOCHASTIC_TOL = 1e-12
 
-# multiplier() gathers in-neighbors when n >= NEIGHBOR_MIN_RATIO * d, for d
-# the largest in-degree (self-loop included). Per product of A and B on n x
-# 2 blocks, dense vs gathered (medians of 10 x 2,000, 3 runs, 2 cores, numpy
-# 2.4.6): 10.4-11.4 vs 5.7-6.6 us at n = 200, d = 6; 134-138 vs 13.1-13.7 us
-# at n = 500, d = 7; 1.6-1.9 vs 5.6-8.4 us at n = 50, d = 17. They cross
-# below n = 40 d, but the sides round apart: moving it would move outputs.
+# stacked_multiplier gathers in-neighbors when n >= NEIGHBOR_MIN_RATIO * d,
+# d the largest in-degree (self-loop included). Per product of A and B on
+# n x 2 blocks, dense vs gathered (medians of 10 x 2,000, 3 runs, 2 cores,
+# numpy 2.4.6): 10.4-11.4 vs 5.7-6.6 us at n = 200, d = 6; 134-138 vs
+# 13.1-13.7 us at n = 500, d = 7; 1.6-1.9 vs 5.6-8.4 us at n = 50, d = 17.
+# They cross below 40 d, but the sides round apart: moving it changes outputs.
 NEIGHBOR_MIN_RATIO = 40
 
 
@@ -36,10 +36,10 @@ class WeightMatrix:
     other kind. Both are solved exactly on first read (perron_vectors) and
     cached; a reducible matrix constructs, but reading them raises.
 
-    multiplier(p) applies W to n x p blocks, stacked_multiplier k matrices
-    to k x n x p stacks in one product: a matmul, or if n >= 40 d (see
-    NEIGHBOR_MIN_RATIO) an O(n d p) gather of each agent's in-neighbors,
-    from a layout built on first use and cached like the Perron vectors.
+    stacked_multiplier applies k matrices to k x n x p stacks in one
+    product: a matmul, or if n >= 40 d (see NEIGHBOR_MIN_RATIO) an O(n d p)
+    gather of each agent's in-neighbors, from a layout built on first use
+    and cached like the Perron vectors.
     """
 
     def __init__(self, entries, kind, *, _fresh=False):
@@ -47,13 +47,9 @@ class WeightMatrix:
         # reaches the entries; the builders hand over arrays no one else
         # holds (copying them too raised the set-up time of a directed
         # n = 500 ring by 29 %: a second 2 MB buffer to page in per matrix)
-        try:
-            values = (np.asarray if _fresh else np.array)(entries)
-        except ValueError:  # rows of unequal length
-            values = None
-        if values is None or values.dtype.kind not in "iuf":
-            raise WeightError("entries must be real, in rows of equal length")
-        entries = values.astype(float, copy=False)
+        entries = real_array(entries, WeightError, "entries")
+        if not _fresh:
+            entries = entries.copy()
         n = entries.shape[0] if entries.ndim else 0
         if n == 0 or entries.shape != (n, n):
             raise WeightError("entries must be square with at least one row, "
@@ -108,18 +104,8 @@ class WeightMatrix:
 
     @property
     def sparse(self):
-        """Whether multiplier() gathers in-neighbors rather than matmuls."""
+        """Whether stacked_multiplier gathers in-neighbors, not matmuls."""
         return self.n >= NEIGHBOR_MIN_RATIO * len(self._in_neighbors[0])
-
-    def multiplier(self, p):
-        """(x, out) -> out = W @ x for n x p blocks x and out: the one-matrix
-        stacked_multiplier."""
-        apply = stacked_multiplier([self], p)
-
-        def product(x, out):
-            apply(x[None], out[None])
-            return out
-        return product
 
 
 def stacked_multiplier(matrices, p):

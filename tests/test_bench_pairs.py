@@ -1,9 +1,11 @@
 """scripts/bench_pairs.py keeps the pairs it has measured when a later
-step fails, and names each side's code by a hash of its sources."""
+step fails, names each side's code by a hash of its sources, and times
+every micro run on both of its paths."""
 
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,3 +80,17 @@ def test_record_names_each_side_by_a_hash_of_its_sources(tmp_path,
     copy.mkdir(parents=True)
     (copy / "engines.py").write_text("x = 1\n")
     assert bench_pairs.sources(tmp_path / "copy") == want["before"]
+
+
+def test_micro_prints_both_paths_of_every_run(monkeypatch, capsys):
+    # a fused kind and three that step one state at a time, 20 steps each
+    runs = {"abm n=6": ("abm", (6, 2, 0.1, 3, True), 20),
+            "extra n=6": ("extra", (6, 2, 0.1, 3, False), 20),
+            "addopt n=6": ("addopt", (6, 2, 0.1, 3, True), 20),
+            "heavy_ball n=6": ("heavy_ball", (6, 2, 0.1, 3, True), 20)}
+    monkeypatch.setattr(bench_pairs, "MICRO_RUNS", runs)
+    bench_pairs.micro(repeats=1)
+    us = json.loads(capsys.readouterr().out)
+    assert sorted(us) == sorted(f"{label} {path}" for label in runs
+                                for path in ("run", "per_step"))
+    assert all(0 < value < math.inf for value in us.values())

@@ -65,7 +65,7 @@ def assert_matches_per_step(cfg, suite, x0, max_iter, stop_residual,
 
 
 def block_rows(n, p):
-    return max(1, min(eng.BLOCK_ROWS, eng.BLOCK_FLOATS // (n * p)))
+    return max(1, min(an.BLOCK_ROWS, an.BLOCK_FLOATS // (n * p)))
 
 
 def setup(n=6, p=2, seed=0, directed=True):
@@ -163,7 +163,7 @@ def test_block_boundaries_match_per_step(kind):
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 64])
 def test_stop_anywhere_in_a_block_matches_per_step(monkeypatch, rows):
-    monkeypatch.setattr(eng, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(an, "BLOCK_ROWS", rows)
     suite, mats, x0 = setup(seed=8)
     cfg = eng.make_config("abm", 6, 0.05, 0.3, **mats)
     for stop in (1e-1, 1e-3, 1e-6, 1e-9):
@@ -197,7 +197,7 @@ def test_overflowing_step_matches_per_step():
 
 
 def test_block_elapsed_is_per_block(monkeypatch):
-    monkeypatch.setattr(eng, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(an, "BLOCK_ROWS", 4)
     suite, mats, x0 = setup(seed=11)
     cfg = eng.make_config("ab", 6, 0.05, **mats)
     elapsed = [r.elapsed for r in eng.run(cfg, suite, x0, 10).records]

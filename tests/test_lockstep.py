@@ -84,7 +84,7 @@ def test_stack_is_the_solo_runs_bit_for_bit(problem, points, max_iter,
     kind, suite, mats, x0 = problem
     cfgs = [eng.make_config(kind, suite.n, alpha, beta, **mats)
             for alpha, beta in points]
-    with mock.patch.object(eng, "BLOCK_ROWS", rows):
+    with mock.patch.object(an, "BLOCK_ROWS", rows):
         assert_stack_is_solo_runs(cfgs, suite, x0, max_iter, stop_residual)
 
 
@@ -100,7 +100,7 @@ def test_stack_retires_each_point_where_its_solo_run_stops():
     x0 = rng.standard_normal((6, 2))
     grid = [(0.9, 0.5), (0.05, 0.3), (0.05, 0.0), (0.002, 0.0), (0.05, 0.3)]
     cfgs = [eng.make_config("abm", 6, a, b, **mats) for a, b in grid]
-    with mock.patch.object(eng, "BLOCK_ROWS", 3):
+    with mock.patch.object(an, "BLOCK_ROWS", 3):
         traces = assert_stack_is_solo_runs(cfgs, suite, x0, 2000, 1e-6)
     ends = [(t.meta["termination"], t.records[-1].k) for t in traces]
     assert [end for end, _ in ends] == ["diverged", "threshold", "threshold",

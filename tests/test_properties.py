@@ -131,6 +131,7 @@ def test_multiplier_matches_dense_product(g, p, seed):
         # the side the rule picks, then each side forced on the same matrix
         for ratio in (wt.NEIGHBOR_MIN_RATIO, 0, np.inf):
             with mock.patch.object(wt, "NEIGHBOR_MIN_RATIO", ratio):
-                out = np.full((g.n, p), np.nan)
-                assert w.multiplier(p)(x, out) is out
+                out = np.full((1, g.n, p), np.nan)
+                assert wt.stacked_multiplier([w], p)(x[None], out) is out
+                out = out[0]
                 assert np.max(np.abs(out - w.entries @ x)) <= tol

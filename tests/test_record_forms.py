@@ -77,7 +77,7 @@ def test_in_neighbor_product_is_the_gather_oracle_bit_for_bit(w, p, seed):
     x = np.random.default_rng(seed).standard_normal((w.n, p))
     want = np.add.reduce(weight[:, :, None] * x[index], axis=0)
     out = np.full((w.n, p), np.nan)
-    w.multiplier(p)(x, out)
+    wt.stacked_multiplier([w], p)(x[None], out[None])
     assert out.tobytes() == want.tobytes()
     np.testing.assert_allclose(out, w.entries @ x, rtol=1e-12, atol=1e-12)
 
@@ -148,7 +148,7 @@ def assert_stacked_product_is_the_per_matrix_products(pair, p, seed):
     assert wt.stacked_multiplier(pair, p)(x, out) is out
     for w, xj, got in zip(pair, x, out):
         want = np.full(xj.shape, np.nan)
-        w.multiplier(p)(xj, want)
+        wt.stacked_multiplier([w], p)(xj[None], want[None])
         assert np.array_equal(got, want)
 
 
